@@ -52,12 +52,15 @@ std::vector<std::string> build_env(const http::Request& request,
 Result<ProcessResult> run_cgi_process(const std::string& executable,
                                       const http::Request& request,
                                       const ProcessOptions& options) {
+  // Close-on-exec: a CGI forked concurrently by another request thread
+  // must not inherit these ends, or this request's EOF would wait for that
+  // unrelated child to exit. dup2 onto stdin/stdout clears the flag.
   int in_pipe[2];   // parent -> child stdin
   int out_pipe[2];  // child stdout -> parent
-  if (::pipe(in_pipe) != 0) {
+  if (::pipe2(in_pipe, O_CLOEXEC) != 0) {
     return Status(StatusCode::kIoError, std::string("pipe: ") + std::strerror(errno));
   }
-  if (::pipe(out_pipe) != 0) {
+  if (::pipe2(out_pipe, O_CLOEXEC) != 0) {
     ::close(in_pipe[0]);
     ::close(in_pipe[1]);
     return Status(StatusCode::kIoError, std::string("pipe: ") + std::strerror(errno));
@@ -71,7 +74,9 @@ Result<ProcessResult> run_cgi_process(const std::string& executable,
   }
 
   if (pid == 0) {
-    // Child: wire pipes to stdio and exec.
+    // Child: lead a process group of its own, so a kill reaches everything
+    // the CGI spawns; then wire pipes to stdio and exec.
+    ::setpgid(0, 0);
     ::dup2(in_pipe[0], STDIN_FILENO);
     ::dup2(out_pipe[1], STDOUT_FILENO);
     for (int fd : {in_pipe[0], in_pipe[1], out_pipe[0], out_pipe[1]}) ::close(fd);
@@ -87,7 +92,9 @@ Result<ProcessResult> run_cgi_process(const std::string& executable,
     _exit(127);  // exec failed
   }
 
-  // Parent.
+  // Parent. Set the group here too, so a kill cannot race the child's own
+  // setpgid.
+  ::setpgid(pid, pid);
   net::UniqueFd child_stdin(in_pipe[1]);
   net::UniqueFd child_stdout(out_pipe[0]);
   ::close(in_pipe[0]);
@@ -143,7 +150,9 @@ Result<ProcessResult> run_cgi_process(const std::string& executable,
     }
   }
 
-  if (result.timed_out || result.oversized) ::kill(pid, SIGKILL);
+  // Timeout (including a clamped request deadline) or oversize: kill the
+  // whole group, so no backgrounded descendant outlives the request.
+  if (result.timed_out || result.oversized) ::kill(-pid, SIGKILL);
   int wstatus = 0;
   while (::waitpid(pid, &wstatus, 0) < 0 && errno == EINTR) {
   }

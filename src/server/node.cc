@@ -1,10 +1,13 @@
 #include "server/node.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
+#include <string_view>
 #include <unistd.h>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/strings.h"
@@ -35,10 +38,52 @@ void on_save_signal(int signo) {
   (void)rc;
 }
 
+// ---- config schema ----
+//
+// Every key the daemon reads, by section (server.cgi_dir is read by swalad
+// itself). A key outside this list is almost always a typo — e.g.
+// `directory_mod = partitioned` — that would otherwise run silently on the
+// default, so from_config rejects it by name.
+constexpr std::pair<std::string_view, std::string_view> kKnownKeys[] = {
+    {"server",
+     "host port threads io_model timer_resolution_ms docroot cgi_dir admin "
+     "access_log listen_backlog max_connections shed_resume_percent "
+     "retry_after request_timeout_ms dispatch_queue_depth max_concurrent_cgi "
+     "drain_timeout_ms"},
+    {"cache",
+     "enabled max_entries max_bytes hot_bytes policy disk_dir store "
+     "volume_bytes segment_bytes write_buffer_bytes flush_interval_ms "
+     "purge_interval state_file checkpoint_interval disk_failure_threshold "
+     "negative_ttl save_on_signal"},
+    {"cacheability", "rule default"},
+    {"cluster",
+     "node_id member directory_mode ring_vnodes ring_seed batch_max_messages "
+     "batch_max_bytes batch_linger_ms query_timeout_ms "
+     "anti_entropy_interval_ms inv_log_entries join_on_start join_timeout_ms "
+     "handoff_batch_bytes initial_active"},
+};
+
+Status check_known_keys(const Config& config) {
+  for (const auto& section : config.sections()) {
+    std::vector<std::string> known;
+    for (const auto& [name, keys] : kKnownKeys) {
+      if (name == section) known = split_trimmed(keys, ' ');
+    }
+    for (const auto& entry : config.entries(section)) {
+      if (std::find(known.begin(), known.end(), entry.first) == known.end()) {
+        return Status(StatusCode::kInvalidArgument,
+                      "unknown config key [" + section + "] " + entry.first);
+      }
+    }
+  }
+  return Status::ok();
+}
+
 }  // namespace
 
 Result<std::unique_ptr<SwalaNode>> SwalaNode::from_config(
     const Config& config, std::shared_ptr<cgi::HandlerRegistry> registry) {
+  if (auto st = check_known_keys(config); !st.is_ok()) return st;
   auto node = std::unique_ptr<SwalaNode>(new SwalaNode());
 
   // ---- cluster membership ----

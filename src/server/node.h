@@ -13,6 +13,9 @@
 //                          ; sizes the handler worker pool)
 //   timer_resolution_ms = 50  ; reactor timer-wheel tick (epoll only)
 //   docroot = ./www
+//   cgi_dir = ./cgi-bin    ; read by swalad: executables mounted at /cgi-bin/
+//   admin = false          ; enables the /swala-admin endpoints
+//   access_log =           ; request log path (empty = off)
 //   listen_backlog = 128   ; listen(2) queue depth
 //   ; ---- overload protection ----
 //   max_connections = 0    ; shed (503) above this many active conns; 0 = off
@@ -39,6 +42,7 @@
 //   state_file =           ; warm-restart manifest (needs disk_dir)
 //   purge_interval = 2.0
 //   checkpoint_interval = 10.0  ; manifest checkpoint cadence (needs state_file)
+//   disk_failure_threshold = 5  ; insert I/O failures before caching pauses
 //   save_on_signal = true  ; persist the manifest on SIGTERM/SIGINT
 //   negative_ttl = 1.0     ; seconds a failed CGI is remembered (0 = off)
 //
@@ -57,6 +61,8 @@
 //   ring_vnodes = 64                 ; partitioned: virtual nodes per member
 //   ring_seed = 1380535879           ; partitioned: placement seed ("RING")
 //   query_timeout_ms = 300           ; per-probe cap (partitioned + query)
+//   anti_entropy_interval_ms = 1000  ; digest-round cadence (0 = off)
+//   inv_log_entries = 4096           ; invalidation replay log per origin
 //   ; ---- dynamic membership ----
 //   initial_active =                 ; ids active at start (empty = all);
 //                                    ; a node absent from its own list must
@@ -81,7 +87,9 @@ namespace swala::server {
 class SwalaNode {
  public:
   /// Builds (but does not start) a node from configuration. The registry
-  /// carries the CGI programs this node can run.
+  /// carries the CGI programs this node can run. A key outside the schema
+  /// above (a typo such as `directory_mod`) is rejected by name rather
+  /// than silently leaving its setting at the default.
   static Result<std::unique_ptr<SwalaNode>> from_config(
       const Config& config, std::shared_ptr<cgi::HandlerRegistry> registry);
 

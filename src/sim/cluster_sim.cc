@@ -1,337 +1,15 @@
 #include "sim/cluster_sim.h"
 
 #include <algorithm>
-#include <cassert>
 #include <functional>
-#include <optional>
 #include <unordered_set>
 #include <utility>
 
-#include "cluster/message.h"
 #include "http/uri.h"
+#include "sim/virtual_bus.h"
 
 namespace swala::sim {
 namespace {
-
-/// Directory traffic shared by every node's bus (one per cluster). Frames
-/// and bytes are counted at send time, fault-injected legs included —
-/// traffic offered to the network, as a packet capture would see it.
-struct SimTraffic {
-  std::uint64_t update_frames = 0;
-  std::uint64_t update_bytes = 0;
-  std::uint64_t query_frames = 0;
-  std::uint64_t query_bytes = 0;
-  // Membership-churn accounting (see SimReport).
-  std::uint64_t transition_frames = 0;
-  std::uint64_t transition_bytes = 0;
-  std::uint64_t handoff_frames = 0;
-  std::uint64_t handoff_bytes = 0;
-  std::uint64_t handoffs_adopted = 0;
-  /// While set, update legs count as transition traffic instead of regular
-  /// directory updates (the driver raises it around member_joined /
-  /// member_left / handoff_state, whose forwarding rides the same bus).
-  bool in_transition = false;
-};
-
-/// CooperationBus over the event engine: broadcasts arrive after a
-/// propagation delay; remote fetches read the owner's store immediately
-/// (the latency is charged to the request's timeline by the node model).
-class SimBus final : public core::CooperationBus {
- public:
-  SimBus(SimEngine* engine, core::NodeId self, const SimCosts* costs,
-         cluster::FaultInjector* faults, SimTraffic* traffic)
-      : engine_(engine),
-        self_(self),
-        costs_(costs),
-        faults_(faults),
-        traffic_(traffic) {}
-
-  void wire(std::vector<std::unique_ptr<core::CacheManager>>* managers) {
-    managers_ = managers;
-  }
-
-  /// Virtual latency accrued by synchronous directory probes during the
-  /// current lookup; issue_next consumes it and charges it to the request's
-  /// timeline (the probes themselves read peer state instantaneously).
-  double take_pending_latency() {
-    const double lat = pending_latency_;
-    pending_latency_ = 0.0;
-    return lat;
-  }
-
-  void broadcast_insert(const core::EntryMeta& meta) override {
-    count_update_legs(cluster::Message::insert(self_, meta), member_legs());
-    for (std::size_t peer = 0; peer < managers_->size(); ++peer) {
-      if (peer == self_ || !peer_is_member(peer)) continue;
-      double delay = costs_->directory_update_delay;
-      if (!broadcast_survives(peer, cluster::MsgType::kInsert, &delay)) continue;
-      engine_->schedule_in(delay, [this, peer, meta] {
-        (*managers_)[peer]->on_peer_insert(meta);
-      });
-    }
-  }
-
-  void broadcast_erase(core::NodeId owner, const std::string& key,
-                       std::uint64_t version) override {
-    count_update_legs(cluster::Message::erase(self_, key, version),
-                      member_legs());
-    for (std::size_t peer = 0; peer < managers_->size(); ++peer) {
-      if (peer == self_ || !peer_is_member(peer)) continue;
-      double delay = costs_->directory_update_delay;
-      if (!broadcast_survives(peer, cluster::MsgType::kErase, &delay)) continue;
-      engine_->schedule_in(delay, [this, peer, owner, key, version] {
-        (*managers_)[peer]->on_peer_erase(owner, key, version);
-      });
-    }
-  }
-
-  void broadcast_invalidate(const std::string& pattern) override {
-    broadcast_invalidate(pattern, 0);
-  }
-
-  void broadcast_invalidate(const std::string& pattern,
-                            std::uint64_t epoch) override {
-    count_update_legs(cluster::Message::invalidate(self_, pattern, epoch),
-                      member_legs());
-    const core::NodeId origin = self_;
-    for (std::size_t peer = 0; peer < managers_->size(); ++peer) {
-      if (peer == self_ || !peer_is_member(peer)) continue;
-      double delay = costs_->directory_update_delay;
-      const int deliveries =
-          broadcast_deliveries(peer, cluster::MsgType::kInvalidate, &delay);
-      for (int copy = 0; copy < deliveries; ++copy) {
-        engine_->schedule_in(delay, [this, peer, pattern, origin, epoch] {
-          (*managers_)[peer]->on_peer_invalidate(pattern, origin, epoch);
-        });
-      }
-    }
-  }
-
-  void send_owner_insert(core::NodeId ring_owner,
-                         const core::EntryMeta& meta) override {
-    if (ring_owner >= managers_->size() || ring_owner == self_) return;
-    count_update_legs(cluster::Message::owner_insert(self_, meta), 1);
-    double delay = costs_->directory_update_delay;
-    if (!broadcast_survives(ring_owner, cluster::MsgType::kOwnerUpdate,
-                            &delay)) {
-      return;
-    }
-    engine_->schedule_in(delay, [this, ring_owner, meta] {
-      (*managers_)[ring_owner]->on_peer_insert(meta);
-    });
-  }
-
-  void send_owner_erase(core::NodeId ring_owner, core::NodeId cache_node,
-                        const std::string& key,
-                        std::uint64_t version) override {
-    if (ring_owner >= managers_->size() || ring_owner == self_) return;
-    count_update_legs(
-        cluster::Message::owner_erase(self_, cache_node, key, version), 1);
-    double delay = costs_->directory_update_delay;
-    if (!broadcast_survives(ring_owner, cluster::MsgType::kOwnerUpdate,
-                            &delay)) {
-      return;
-    }
-    engine_->schedule_in(delay, [this, ring_owner, cache_node, key, version] {
-      (*managers_)[ring_owner]->on_peer_erase(cache_node, key, version);
-    });
-  }
-
-  Result<core::EntryMeta> lookup_at_owner(core::NodeId ring_owner,
-                                          const std::string& key,
-                                          int budget_ms) override {
-    (void)budget_ms;  // virtual time: the probe either answers or faults
-    if (ring_owner >= managers_->size()) {
-      return Status(StatusCode::kInvalidArgument, "bad ring owner");
-    }
-    pending_latency_ += costs_->query_latency;
-    auto answer = probe(ring_owner, key);
-    if (!answer.first) {
-      return Status(StatusCode::kTimeout,
-                    "simulated owner-lookup timeout (fault injection)");
-    }
-    if (!answer.second) {
-      return Status(StatusCode::kNotFound, "owner knows of no cached copy");
-    }
-    return *answer.second;
-  }
-
-  Result<core::EntryMeta> query_peers(const std::string& key,
-                                      int budget_ms) override {
-    (void)budget_ms;
-    // One multicast round: every peer is probed "in parallel", so the
-    // request pays query_latency once; frames are counted per probed peer
-    // (the sweep stops early on the first hit, as the TCP group does).
-    pending_latency_ += costs_->query_latency;
-    bool every_peer_answered = true;
-    for (std::size_t peer = 0; peer < managers_->size(); ++peer) {
-      if (peer == self_ || !peer_is_member(peer)) continue;
-      auto answer = probe(static_cast<core::NodeId>(peer), key);
-      if (!answer.first) {
-        every_peer_answered = false;
-        continue;
-      }
-      if (answer.second) return *answer.second;
-    }
-    if (every_peer_answered) {
-      return Status(StatusCode::kNotFound, "no peer caches this key");
-    }
-    return Status(StatusCode::kTimeout,
-                  "query budget exhausted without a hit");
-  }
-
-  Result<core::CachedResult> fetch_remote(core::NodeId owner,
-                                          const std::string& key) override {
-    if (owner >= managers_->size()) {
-      return Status(StatusCode::kInvalidArgument, "bad owner");
-    }
-    if (faults_ != nullptr) {
-      const auto fault = faults_->decide(owner, cluster::MsgType::kFetchReq);
-      switch (fault.kind) {
-        case cluster::FaultKind::kNone:
-        case cluster::FaultKind::kDelay:  // latency is the node model's job
-        case cluster::FaultKind::kDuplicate:  // request/response: no-op
-          break;
-        case cluster::FaultKind::kDrop:
-        case cluster::FaultKind::kTruncate:
-        case cluster::FaultKind::kBlackhole:
-          // The request (or its response) never arrives; the requester's
-          // deadline expires and the manager falls back to local execution.
-          return Status(StatusCode::kTimeout,
-                        "simulated fetch deadline (fault injection)");
-      }
-    }
-    return (*managers_)[owner]->serve_peer_fetch(key);
-  }
-
-  void send_handoff(core::NodeId successor, const core::EntryMeta& meta,
-                    const std::string& body) override {
-    if (successor >= managers_->size() || successor == self_) return;
-    if (traffic_ != nullptr) {
-      traffic_->handoff_frames += 1;
-      traffic_->handoff_bytes +=
-          cluster::encode_message(
-              cluster::Message::insert_handoff(self_, meta, body))
-              .size();
-    }
-    double delay = costs_->directory_update_delay;
-    if (!broadcast_survives(successor, cluster::MsgType::kInsert, &delay)) {
-      return;  // a lost handoff costs one future re-execution, not data
-    }
-    engine_->schedule_in(delay, [this, successor, meta, body] {
-      if ((*managers_)[successor]->adopt_entry(meta, body) &&
-          traffic_ != nullptr) {
-        traffic_->handoffs_adopted += 1;
-      }
-    });
-  }
-
- private:
-  /// Peers outside the sender's membership view get no traffic (the TCP
-  /// group drops frames to inactive slots at the sender).
-  bool peer_is_member(std::size_t peer) const {
-    return (*managers_)[self_]->is_member(static_cast<core::NodeId>(peer));
-  }
-
-  /// Broadcast fan-out under the current membership view.
-  std::size_t member_legs() const {
-    std::size_t legs = 0;
-    for (std::size_t peer = 0; peer < managers_->size(); ++peer) {
-      if (peer != self_ && peer_is_member(peer)) ++legs;
-    }
-    return legs;
-  }
-
-  /// Counts `legs` copies of an update frame as offered directory traffic
-  /// (or as membership-transition traffic while the driver migrates state).
-  void count_update_legs(const cluster::Message& msg, std::size_t legs) {
-    if (traffic_ == nullptr || legs == 0) return;
-    const std::size_t bytes = cluster::encode_message(msg).size();
-    if (traffic_->in_transition) {
-      traffic_->transition_frames += legs;
-      traffic_->transition_bytes += legs * bytes;
-    } else {
-      traffic_->update_frames += legs;
-      traffic_->update_bytes += legs * bytes;
-    }
-  }
-
-  /// One kQuery/kQueryHit exchange against `peer`'s directory. Returns
-  /// {answered, hit}: `answered` is false when fault injection eats the
-  /// request or the response (the requester times out); `hit` carries the
-  /// peer's directory answer. Traffic counts the request frame always and
-  /// the response frame only when one comes back.
-  std::pair<bool, std::optional<core::EntryMeta>> probe(
-      core::NodeId peer, const std::string& key) {
-    if (traffic_ != nullptr) {
-      traffic_->query_frames += 1;
-      traffic_->query_bytes +=
-          cluster::encode_message(cluster::Message::query(self_, key)).size();
-    }
-    if (faults_ != nullptr) {
-      const auto fault = faults_->decide(peer, cluster::MsgType::kQuery);
-      switch (fault.kind) {
-        case cluster::FaultKind::kNone:
-        case cluster::FaultKind::kDuplicate:  // request/response: no-op
-          break;
-        case cluster::FaultKind::kDelay:
-          pending_latency_ += fault.delay_ms / 1000.0;
-          break;
-        case cluster::FaultKind::kDrop:
-        case cluster::FaultKind::kTruncate:
-        case cluster::FaultKind::kBlackhole:
-          return {false, std::nullopt};
-      }
-    }
-    auto answer = (*managers_)[peer]->answer_query(key);
-    if (traffic_ != nullptr) {
-      const cluster::Message resp =
-          answer ? cluster::Message::query_hit(peer, *answer)
-                 : cluster::Message::query_miss(peer);
-      traffic_->query_frames += 1;
-      traffic_->query_bytes += cluster::encode_message(resp).size();
-    }
-    return {true, std::move(answer)};
-  }
-
-  /// Consults the injector for one simulated broadcast leg. Returns how
-  /// many copies arrive: 0 when the update is lost (drop/truncate/
-  /// blackhole), 2 for a kDuplicate replay, 1 otherwise; kDelay stretches
-  /// the propagation latency instead.
-  int broadcast_deliveries(std::size_t peer, cluster::MsgType type,
-                           double* delay) {
-    if (faults_ == nullptr) return 1;
-    const auto fault =
-        faults_->decide(static_cast<core::NodeId>(peer), type);
-    switch (fault.kind) {
-      case cluster::FaultKind::kNone:
-        return 1;
-      case cluster::FaultKind::kDelay:
-        *delay += fault.delay_ms / 1000.0;
-        return 1;
-      case cluster::FaultKind::kDrop:
-      case cluster::FaultKind::kTruncate:
-      case cluster::FaultKind::kBlackhole:
-        return 0;
-      case cluster::FaultKind::kDuplicate:
-        return 2;
-    }
-    return 1;
-  }
-
-  bool broadcast_survives(std::size_t peer, cluster::MsgType type,
-                          double* delay) {
-    return broadcast_deliveries(peer, type, delay) > 0;
-  }
-
-  SimEngine* engine_;
-  core::NodeId self_;
-  const SimCosts* costs_;
-  cluster::FaultInjector* faults_;
-  SimTraffic* traffic_;
-  std::vector<std::unique_ptr<core::CacheManager>>* managers_ = nullptr;
-  double pending_latency_ = 0.0;
-};
 
 /// Per-node working-set tracker for the optional memory model.
 struct NodeMemory {
@@ -353,9 +31,9 @@ struct NodeMemory {
 
 struct SimState {
   SimEngine engine;
-  SimTraffic traffic;
-  std::vector<std::unique_ptr<SimBus>> buses;
-  std::vector<std::unique_ptr<core::CacheManager>> managers;
+  VirtualTraffic traffic;
+  std::vector<std::unique_ptr<VirtualBus>> buses;  ///< cooperative mode only
+  ManagerList managers;
   std::vector<std::unique_ptr<FcfsResource>> cpus;
   std::vector<NodeMemory> memory;
 
@@ -406,17 +84,7 @@ void do_join(SimState* st) {
     }
     st->managers[o]->member_joined(j);
     if (st->config->directory_mode == core::DirectoryMode::kReplicated) {
-      for (const auto& meta : st->managers[o]->store().resident_metas()) {
-        st->traffic.transition_frames += 1;
-        st->traffic.transition_bytes +=
-            cluster::encode_message(
-                cluster::Message::insert(static_cast<core::NodeId>(o), meta))
-                .size();
-        st->engine.schedule_in(st->config->costs.directory_update_delay,
-                               [st, j, meta] {
-                                 st->managers[j]->on_peer_insert(meta);
-                               });
-      }
+      st->buses[o]->push_state(j, &st->traffic.transitions);
     }
   }
   st->member[j] = 1;
@@ -630,10 +298,11 @@ SimReport run_cluster_sim(const workload::Trace& trace, const SimConfig& config)
   // Build the cost-model-aware cooperation fabric over real managers.
   if (config.caching) {
     const std::size_t dir_nodes = config.cooperative ? n : 1;
-    for (std::size_t i = 0; i < n; ++i) {
-      st.buses.push_back(std::make_unique<SimBus>(
-          &st.engine, static_cast<core::NodeId>(config.cooperative ? i : 0),
-          &config.costs, config.faults, &st.traffic));
+    for (std::size_t i = 0; config.cooperative && i < n; ++i) {
+      st.buses.push_back(std::make_unique<VirtualBus>(
+          &st.engine, &st.managers, static_cast<core::NodeId>(i),
+          config.costs.directory_update_delay, config.costs.query_latency,
+          config.faults, /*alive=*/nullptr, &st.traffic));
     }
     for (std::size_t i = 0; i < n; ++i) {
       core::ManagerOptions mo;
@@ -653,9 +322,6 @@ SimReport run_cluster_sim(const workload::Trace& trace, const SimConfig& config)
           static_cast<core::NodeId>(config.cooperative ? i : 0), dir_nodes,
           std::move(mo), st.engine.clock(),
           config.cooperative ? st.buses[i].get() : nullptr));
-    }
-    if (config.cooperative) {
-      for (auto& bus : st.buses) bus->wire(&st.managers);
     }
   }
 
@@ -713,16 +379,16 @@ SimReport run_cluster_sim(const workload::Trace& trace, const SimConfig& config)
     report.cache.peer_queries += stats.peer_queries;
     report.cache.peer_query_hits += stats.peer_query_hits;
   }
-  report.dir_update_frames = st.traffic.update_frames;
-  report.dir_update_bytes = st.traffic.update_bytes;
-  report.dir_query_frames = st.traffic.query_frames;
-  report.dir_query_bytes = st.traffic.query_bytes;
+  report.dir_update_frames = st.traffic.updates.frames;
+  report.dir_update_bytes = st.traffic.updates.bytes;
+  report.dir_query_frames = st.traffic.queries.frames;
+  report.dir_query_bytes = st.traffic.queries.bytes;
   report.membership_transitions = st.membership_transitions;
-  report.handoff_frames = st.traffic.handoff_frames;
-  report.handoff_bytes = st.traffic.handoff_bytes;
+  report.handoff_frames = st.traffic.handoffs.frames;
+  report.handoff_bytes = st.traffic.handoffs.bytes;
   report.handoffs_adopted = st.traffic.handoffs_adopted;
-  report.transition_frames = st.traffic.transition_frames;
-  report.transition_bytes = st.traffic.transition_bytes;
+  report.transition_frames = st.traffic.transitions.frames;
+  report.transition_bytes = st.traffic.transitions.bytes;
   report.decommissioned_keys = std::move(st.decommissioned_keys);
   if (st.membership_transitions > 0) {
     std::vector<const core::CacheManager*> nodes;

@@ -1,8 +1,8 @@
 // Simulated Swala cluster: N nodes, each with an FCFS CPU and a *real*
 // CacheManager (memory-backed store, real directory, real rules), connected
-// by a simulated cooperation bus that delays directory broadcasts by a
-// configurable propagation latency — which is exactly what produces the
-// paper's false misses and false hits (§4.2).
+// by sim::VirtualBus (sim/virtual_bus.h), which delays directory broadcasts
+// by a configurable propagation latency — which is exactly what produces
+// the paper's false misses and false hits (§4.2).
 //
 // Closed-loop clients replay a trace: each client stream is pinned to one
 // server node (as in §5.2: "every thread launches requests to a single
@@ -75,9 +75,10 @@ struct SimConfig {
   /// simulated bus consults it per peer/message exactly like the TCP layer:
   /// drop/truncate/blackhole on a broadcast loses the directory update;
   /// any of those on a FETCH_REQ fails the fetch (→ local fallback, counted
-  /// in fallback_executions); kDelay adds delay_ms of virtual latency to a
-  /// broadcast's propagation. Same rules, same seed → same scenario as the
-  /// wire transport, but under virtual time.
+  /// in fallback_executions); kDuplicate delivers a broadcast twice; kDelay
+  /// adds delay_ms of virtual latency to a broadcast's propagation, or to
+  /// the request that sent a probe or fetch. Same rules, same seed → same
+  /// scenario as the wire transport, but under virtual time.
   cluster::FaultInjector* faults = nullptr;
 
   // ---- membership churn under load (cooperative mode only) ----

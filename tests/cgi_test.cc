@@ -2,10 +2,19 @@
 // dispatch, and real fork/exec execution of the bundled nullcgi program.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <csignal>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <mutex>
+#include <sstream>
 #include <sys/stat.h>
+#include <thread>
 #include <unistd.h>
+#include <vector>
 
 #include "cgi/handler.h"
 #include "cgi/process.h"
@@ -203,6 +212,15 @@ TEST(RegistryTest, RemountReplaces) {
 
 // ---- ProcessCgi (real fork/exec) ----
 
+/// Writes an executable `#!/bin/sh` script with `body` to `path`.
+bool write_script(const std::string& path, const std::string& body) {
+  FILE* f = fopen(path.c_str(), "w");
+  if (f == nullptr) return false;
+  fputs(("#!/bin/sh\n" + body).c_str(), f);
+  fclose(f);
+  return chmod(path.c_str(), 0755) == 0;
+}
+
 TEST(ProcessCgiTest, RunsNullCgi) {
   ProcessCgi cgi(SWALA_NULLCGI_PATH);
   auto out = cgi.run(make_request("/cgi-bin/null?x=1"));
@@ -223,13 +241,10 @@ TEST(ProcessCgiTest, MissingExecutableFails) {
 TEST(ProcessCgiTest, EnvironmentReachesChild) {
   // /bin/sh -c style program is overkill; use a tiny shell script.
   const std::string script = "/tmp/swala_test_cgi_env.sh";
-  {
-    FILE* f = fopen(script.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    fputs("#!/bin/sh\nprintf 'Content-Type: text/plain\\n\\nQ=%s M=%s\\n' \"$QUERY_STRING\" \"$REQUEST_METHOD\"\n", f);
-    fclose(f);
-    chmod(script.c_str(), 0755);
-  }
+  ASSERT_TRUE(write_script(
+      script,
+      "printf 'Content-Type: text/plain\\n\\nQ=%s M=%s\\n' "
+      "\"$QUERY_STRING\" \"$REQUEST_METHOD\"\n"));
   ProcessCgi cgi(script);
   auto out = cgi.run(make_request("/cgi-bin/env?alpha=beta"));
   ASSERT_TRUE(out.is_ok());
@@ -241,13 +256,7 @@ TEST(ProcessCgiTest, EnvironmentReachesChild) {
 
 TEST(ProcessCgiTest, TimeoutKillsChild) {
   const std::string script = "/tmp/swala_test_cgi_sleep.sh";
-  {
-    FILE* f = fopen(script.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    fputs("#!/bin/sh\nsleep 30\n", f);
-    fclose(f);
-    chmod(script.c_str(), 0755);
-  }
+  ASSERT_TRUE(write_script(script, "sleep 30\n"));
   ProcessOptions opts;
   opts.timeout_seconds = 0.2;
   ProcessCgi cgi(script, opts);
@@ -276,13 +285,7 @@ TEST(ProcessCgiTest, ExecFailureReportsExit127) {
 
 TEST(ProcessCgiTest, TimeoutFlagSetAndNotConfusedWithOversize) {
   const std::string script = "/tmp/swala_test_cgi_hang.sh";
-  {
-    FILE* f = fopen(script.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    fputs("#!/bin/sh\nsleep 30\n", f);
-    fclose(f);
-    chmod(script.c_str(), 0755);
-  }
+  ASSERT_TRUE(write_script(script, "sleep 30\n"));
   ProcessOptions opts;
   opts.timeout_seconds = 0.2;
   auto result = run_cgi_process(script, make_request("/cgi-bin/hang"), opts);
@@ -296,13 +299,8 @@ TEST(ProcessCgiTest, OversizedOutputKilledAndFails) {
   // A child that writes forever: without the output cap + SIGKILL it would
   // run until the 30s default deadline. The cap must fire fast.
   const std::string script = "/tmp/swala_test_cgi_flood.sh";
-  {
-    FILE* f = fopen(script.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    fputs("#!/bin/sh\nwhile :; do printf 'xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx'; done\n", f);
-    fclose(f);
-    chmod(script.c_str(), 0755);
-  }
+  ASSERT_TRUE(write_script(
+      script, "while :; do printf 'xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx'; done\n"));
   ProcessOptions opts;
   opts.max_output_bytes = 64 * 1024;
   const auto start = std::chrono::steady_clock::now();
@@ -323,15 +321,119 @@ TEST(ProcessCgiTest, OversizedOutputKilledAndFails) {
   unlink(script.c_str());
 }
 
+/// True while `pid` exists and is not a zombie.
+bool process_alive(pid_t pid) {
+  std::ifstream stat("/proc/" + std::to_string(pid) + "/stat");
+  std::string line;
+  if (!std::getline(stat, line)) return false;
+  const auto paren = line.rfind(')');
+  return paren != std::string::npos && paren + 2 < line.size() &&
+         line[paren + 2] != 'Z';
+}
+
+/// Process ids (zombies excluded) whose process group is `pgid`.
+std::vector<pid_t> live_group_members(pid_t pgid) {
+  std::vector<pid_t> members;
+  for (const auto& entry : std::filesystem::directory_iterator("/proc")) {
+    const std::string name = entry.path().filename();
+    if (name.find_first_not_of("0123456789") != std::string::npos) continue;
+    std::ifstream stat(entry.path() / "stat");
+    std::string line;
+    if (!std::getline(stat, line)) continue;
+    const auto paren = line.rfind(')');
+    if (paren == std::string::npos) continue;
+    std::istringstream fields(line.substr(paren + 2));
+    char state = 0;
+    long ppid = 0, pgrp = 0;
+    fields >> state >> ppid >> pgrp;
+    if (pgrp == pgid && state != 'Z') members.push_back(std::stoi(name));
+  }
+  return members;
+}
+
+TEST(ProcessCgiTest, FastRunsDoNotWaitForConcurrentSlowCgi) {
+  // A CGI forked while another request's pipes are open must not inherit
+  // them: if it did, that request would see EOF only when the unrelated
+  // child exits, so a fast CGI would take as long as a concurrent slow one.
+  // The inheritance window is one fork wide, so several slow CGIs start
+  // while fast ones run back to back.
+  const std::string fast = "/tmp/swala_test_cgi_fast.sh";
+  const std::string slow = "/tmp/swala_test_cgi_slow.sh";
+  ASSERT_TRUE(write_script(
+      fast, "printf 'Content-Type: text/plain\\n\\nfast'\n"));
+  ASSERT_TRUE(write_script(
+      slow, "sleep 2\nprintf 'Content-Type: text/plain\\n\\nslow'\n"));
+  ProcessOptions opts;
+  std::atomic<bool> slow_done{false};
+  std::atomic<int> fast_runs{0};
+  std::mutex mutex;
+  double worst_fast = 0.0;
+  std::vector<std::thread> fast_threads;
+  for (int t = 0; t < 4; ++t) {
+    fast_threads.emplace_back([&] {
+      while (!slow_done.load()) {
+        const auto start = std::chrono::steady_clock::now();
+        auto result =
+            run_cgi_process(fast, make_request("/cgi-bin/fast"), opts);
+        const std::chrono::duration<double> took =
+            std::chrono::steady_clock::now() - start;
+        EXPECT_TRUE(result.is_ok());
+        fast_runs.fetch_add(1);
+        std::lock_guard<std::mutex> lock(mutex);
+        worst_fast = std::max(worst_fast, took.count());
+      }
+    });
+  }
+  std::vector<std::thread> slow_threads;
+  for (int t = 0; t < 8; ++t) {
+    slow_threads.emplace_back([&, t] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50 + 37 * t));
+      auto result = run_cgi_process(slow, make_request("/cgi-bin/slow"), opts);
+      EXPECT_TRUE(result.is_ok());
+    });
+  }
+  for (auto& thread : slow_threads) thread.join();
+  slow_done = true;
+  for (auto& thread : fast_threads) thread.join();
+  EXPECT_GT(fast_runs.load(), 3);
+  EXPECT_LT(worst_fast, 0.5)
+      << "a fast CGI waited for a concurrent slow one's exit";
+  unlink(fast.c_str());
+  unlink(slow.c_str());
+}
+
+TEST(ProcessCgiTest, TimeoutKillsBackgroundedDescendants) {
+  // The CGI backgrounds a long sleep and then hangs on it. The timeout kill
+  // must reach the whole process group, not just the direct child, or the
+  // sleep outlives the request (and holds every inherited descriptor).
+  const std::string script = "/tmp/swala_test_cgi_bgsleep.sh";
+  ASSERT_TRUE(write_script(script, "sleep 30 &\necho \"$$ $!\"\nwait\n"));
+  ProcessOptions opts;
+  opts.timeout_seconds = 0.5;
+  auto result = run_cgi_process(script, make_request("/cgi-bin/bg"), opts);
+  ASSERT_TRUE(result.is_ok());
+  EXPECT_TRUE(result.value().timed_out);
+  std::istringstream ids(result.value().stdout_data);
+  pid_t group = 0, sleeper = 0;
+  ASSERT_TRUE(ids >> group >> sleeper) << result.value().stdout_data;
+
+  // SIGKILL is asynchronous for the grandchild: allow it a moment to die.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while ((process_alive(sleeper) || !live_group_members(group).empty()) &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  EXPECT_FALSE(process_alive(sleeper)) << "backgrounded sleep survived";
+  EXPECT_TRUE(live_group_members(group).empty());
+  if (process_alive(sleeper)) ::kill(sleeper, SIGKILL);
+  unlink(script.c_str());
+}
+
 TEST(ProcessCgiTest, NonzeroExitMeansFailureOutput) {
   const std::string script = "/tmp/swala_test_cgi_exit3.sh";
-  {
-    FILE* f = fopen(script.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    fputs("#!/bin/sh\nprintf 'Content-Type: text/plain\\n\\npartial'\nexit 3\n", f);
-    fclose(f);
-    chmod(script.c_str(), 0755);
-  }
+  ASSERT_TRUE(write_script(
+      script, "printf 'Content-Type: text/plain\\n\\npartial'\nexit 3\n"));
   ProcessCgi cgi(script);
   auto out = cgi.run(make_request("/cgi-bin/exit3"));
   ASSERT_TRUE(out.is_ok());
@@ -369,13 +471,8 @@ TEST(ProcessCgiTest, FailedExecutionIsNotCached) {
 
 TEST(ProcessCgiTest, BodyPipedToStdin) {
   const std::string script = "/tmp/swala_test_cgi_stdin.sh";
-  {
-    FILE* f = fopen(script.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    fputs("#!/bin/sh\nprintf 'Content-Type: text/plain\\n\\n'\ncat\n", f);
-    fclose(f);
-    chmod(script.c_str(), 0755);
-  }
+  ASSERT_TRUE(
+      write_script(script, "printf 'Content-Type: text/plain\\n\\n'\ncat\n"));
   ProcessCgi cgi(script);
   http::Request req = make_request("/cgi-bin/echo");
   req.method = http::Method::kPost;

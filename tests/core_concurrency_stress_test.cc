@@ -24,36 +24,10 @@
 #include "core/consistency.h"
 #include "core/manager.h"
 #include "core/storage.h"
+#include "recording_bus.h"
 
 namespace swala::core {
 namespace {
-
-/// Records every broadcast so the adversarial-ordering tests can replay
-/// them to a second manager in the order of their choosing.
-class RecordingBus : public CooperationBus {
- public:
-  void broadcast_insert(const EntryMeta& meta) override {
-    std::lock_guard<std::mutex> lock(mutex_);
-    inserts.push_back(meta);
-  }
-  void broadcast_erase(NodeId owner, const std::string& key,
-                       std::uint64_t version) override {
-    std::lock_guard<std::mutex> lock(mutex_);
-    erases.push_back({owner, key, version});
-  }
-  Result<CachedResult> fetch_remote(NodeId, const std::string& key) override {
-    return Status(StatusCode::kNotFound, "not scripted: " + key);
-  }
-
-  struct Erase {
-    NodeId owner;
-    std::string key;
-    std::uint64_t version;
-  };
-  std::mutex mutex_;
-  std::vector<EntryMeta> inserts;
-  std::vector<Erase> erases;
-};
 
 http::Uri uri_of(const std::string& target) {
   http::Uri uri;

@@ -12,6 +12,7 @@
 #include "common/clock.h"
 #include "core/manager.h"
 #include "core/monitor.h"
+#include "recording_bus.h"
 
 namespace swala::core {
 namespace {
@@ -116,25 +117,15 @@ TEST(ManagerInvalidationTest, LocalInvalidateRemovesStoreAndDirectory) {
 }
 
 TEST(ManagerInvalidationTest, PeerInvalidateDoesNotRebroadcast) {
-  class CountingBus : public CooperationBus {
-   public:
-    void broadcast_insert(const EntryMeta&) override {}
-    void broadcast_erase(NodeId, const std::string&, std::uint64_t) override {}
-    Result<CachedResult> fetch_remote(NodeId, const std::string&) override {
-      return Status(StatusCode::kNotFound, "n/a");
-    }
-    void broadcast_invalidate(const std::string&) override { ++invalidates; }
-    int invalidates = 0;
-  };
   ManualClock clock(0);
-  CountingBus bus;
+  RecordingBus bus;
   CacheManager manager(0, 2, open_options(), &clock, &bus);
   cache_target(manager, "/cgi-bin/z?q=1");
 
   manager.on_peer_invalidate("GET /cgi-bin/z*");
-  EXPECT_EQ(bus.invalidates, 0) << "peer application must not echo";
+  EXPECT_EQ(bus.invalidations.size(), 0u) << "peer application must not echo";
   manager.invalidate("GET /cgi-bin/z*");
-  EXPECT_EQ(bus.invalidates, 1);
+  EXPECT_EQ(bus.invalidations.size(), 1u);
 }
 
 // ---- dependency monitor ----

@@ -1,53 +1,14 @@
 // Tests for CacheManager: the Figure-2 control flow, threshold and failure
-// handling, cooperation through a fake bus, false-hit fallback and
+// handling, cooperation through a recording bus, false-hit fallback and
 // false-miss detection, purge broadcasting.
 #include <gtest/gtest.h>
 
-#include <map>
-
 #include "common/clock.h"
 #include "core/manager.h"
+#include "recording_bus.h"
 
 namespace swala::core {
 namespace {
-
-/// In-memory CooperationBus that records broadcasts and serves fetches from
-/// a scripted table.
-class FakeBus : public CooperationBus {
- public:
-  void broadcast_insert(const EntryMeta& meta) override {
-    inserts.push_back(meta);
-  }
-  void broadcast_erase(NodeId owner, const std::string& key,
-                       std::uint64_t version) override {
-    erases.push_back({owner, key, version});
-  }
-  Result<CachedResult> fetch_remote(NodeId owner,
-                                    const std::string& key) override {
-    ++fetches;
-    const auto it = remote_data.find(key);
-    if (it == remote_data.end()) {
-      return Status(StatusCode::kNotFound, "gone");
-    }
-    CachedResult r;
-    r.meta.key = key;
-    r.meta.owner = owner;
-    r.meta.content_type = "text/html";
-    r.meta.http_status = 200;
-    r.data = it->second;
-    return r;
-  }
-
-  struct Erase {
-    NodeId owner;
-    std::string key;
-    std::uint64_t version;
-  };
-  std::vector<EntryMeta> inserts;
-  std::vector<Erase> erases;
-  std::map<std::string, std::string> remote_data;
-  int fetches = 0;
-};
 
 http::Uri uri_of(const std::string& target) {
   http::Uri uri;
@@ -148,7 +109,7 @@ TEST_F(ManagerTest, MethodDistinguishesKeys) {
 }
 
 TEST_F(ManagerTest, InsertBroadcastsToBus) {
-  FakeBus bus;
+  RecordingBus bus;
   CacheManager manager(0, 3, default_options(), &clock_, &bus);
   const auto uri = uri_of("/cgi-bin/b");
   auto lookup = manager.lookup(http::Method::kGet, uri);
@@ -159,7 +120,7 @@ TEST_F(ManagerTest, InsertBroadcastsToBus) {
 }
 
 TEST_F(ManagerTest, RemoteHitThroughBus) {
-  FakeBus bus;
+  RecordingBus bus;
   CacheManager manager(0, 2, default_options(), &clock_, &bus);
   // Peer 1 announces an entry; the directory now points at node 1.
   EntryMeta peer_meta;
@@ -179,7 +140,7 @@ TEST_F(ManagerTest, RemoteHitThroughBus) {
 }
 
 TEST_F(ManagerTest, FalseHitFallsBackToExecution) {
-  FakeBus bus;
+  RecordingBus bus;
   CacheManager manager(0, 2, default_options(), &clock_, &bus);
   EntryMeta peer_meta;
   peer_meta.key = "GET /cgi-bin/gone";
@@ -197,7 +158,7 @@ TEST_F(ManagerTest, FalseHitFallsBackToExecution) {
 }
 
 TEST_F(ManagerTest, FalseMissDetected) {
-  FakeBus bus;
+  RecordingBus bus;
   CacheManager manager(0, 2, default_options(), &clock_, &bus);
   const auto uri = uri_of("/cgi-bin/dup");
   auto lookup = manager.lookup(http::Method::kGet, uri);
@@ -211,7 +172,7 @@ TEST_F(ManagerTest, FalseMissDetected) {
 }
 
 TEST_F(ManagerTest, OwnBroadcastEchoIgnored) {
-  FakeBus bus;
+  RecordingBus bus;
   CacheManager manager(0, 2, default_options(), &clock_, &bus);
   EntryMeta own;
   own.key = "GET /cgi-bin/self";
@@ -222,7 +183,7 @@ TEST_F(ManagerTest, OwnBroadcastEchoIgnored) {
 }
 
 TEST_F(ManagerTest, EvictionBroadcastsErase) {
-  FakeBus bus;
+  RecordingBus bus;
   ManagerOptions mo = default_options();
   mo.limits = {2, 0};
   CacheManager manager(0, 2, std::move(mo), &clock_, &bus);
@@ -239,7 +200,7 @@ TEST_F(ManagerTest, EvictionBroadcastsErase) {
 }
 
 TEST_F(ManagerTest, PurgeBroadcastsExpiry) {
-  FakeBus bus;
+  RecordingBus bus;
   ManagerOptions mo = default_options();
   RuleDecision d;
   d.cacheable = true;
@@ -274,7 +235,7 @@ TEST_F(ManagerTest, ServePeerFetch) {
 }
 
 TEST_F(ManagerTest, PeerEraseUpdatesDirectory) {
-  FakeBus bus;
+  RecordingBus bus;
   CacheManager manager(0, 2, default_options(), &clock_, &bus);
   EntryMeta peer_meta;
   peer_meta.key = "GET /cgi-bin/p";

@@ -9,6 +9,7 @@
 
 #include "common/clock.h"
 #include "core/manager.h"
+#include "recording_bus.h"
 
 namespace swala::core {
 namespace {
@@ -354,18 +355,6 @@ TEST_F(PersistenceTest, NewInsertsDoNotCollideWithAdoptedIds) {
 }
 
 TEST_F(PersistenceTest, ManagerRestoreRepopulatesDirectoryAndBroadcasts) {
-  class RecordingBus : public CooperationBus {
-   public:
-    void broadcast_insert(const EntryMeta& meta) override {
-      inserts.push_back(meta.key);
-    }
-    void broadcast_erase(NodeId, const std::string&, std::uint64_t) override {}
-    Result<CachedResult> fetch_remote(NodeId, const std::string&) override {
-      return Status(StatusCode::kNotFound, "n/a");
-    }
-    std::vector<std::string> inserts;
-  };
-
   ManualClock clock(from_seconds(100.0));
   ManagerOptions mo;
   mo.limits = {100, 0};
@@ -393,7 +382,7 @@ TEST_F(PersistenceTest, ManagerRestoreRepopulatesDirectoryAndBroadcasts) {
   EXPECT_EQ(restored.value(), 1u);
   EXPECT_TRUE(manager.directory().lookup("GET /cgi-bin/warm?q=1").has_value());
   ASSERT_EQ(bus.inserts.size(), 1u);
-  EXPECT_EQ(bus.inserts[0], "GET /cgi-bin/warm?q=1");
+  EXPECT_EQ(bus.inserts[0].key, "GET /cgi-bin/warm?q=1");
 
   // And the restored entry actually serves.
   http::Uri uri;

@@ -12,6 +12,7 @@
 #include "common/clock.h"
 #include "core/inv_log.h"
 #include "core/manager.h"
+#include "recording_bus.h"
 
 namespace swala::core {
 namespace {
@@ -232,32 +233,6 @@ TEST(InvRepairMessageTest, TruncatedRepairFramesRejected) {
 namespace swala::core {
 namespace {
 
-/// Bus that records epoch-stamped broadcasts and erases, and optionally
-/// forwards inserts/erases to a peer manager (drops them when `drop_link`).
-class RecordingBus : public CooperationBus {
- public:
-  void broadcast_insert(const EntryMeta& meta) override {
-    if (peer != nullptr && !drop_link) peer->on_peer_insert(meta);
-  }
-  void broadcast_erase(NodeId owner, const std::string& key,
-                       std::uint64_t version) override {
-    erases.push_back(key);
-    if (peer != nullptr && !drop_link) peer->on_peer_erase(owner, key, version);
-  }
-  void broadcast_invalidate(const std::string& pattern,
-                            std::uint64_t epoch) override {
-    invalidations.push_back({pattern, epoch});
-  }
-  Result<CachedResult> fetch_remote(NodeId, const std::string&) override {
-    return Status(StatusCode::kUnavailable, "test bus");
-  }
-
-  CacheManager* peer = nullptr;
-  bool drop_link = false;
-  std::vector<std::string> erases;
-  std::vector<std::pair<std::string, std::uint64_t>> invalidations;
-};
-
 // ---- CacheManager repair API ----
 
 TEST(ManagerEpochTest, LocalInvalidateStampsMonotonicEpochs) {
@@ -346,7 +321,7 @@ TEST(ManagerEpochTest, RepairedInvalidationAnnouncesErases) {
       manager.apply_inv_sync({{0, 1, "GET /cgi-bin/stale*"}}, false);
   EXPECT_EQ(applied, 1u);
   ASSERT_EQ(bus.erases.size(), 1u);
-  EXPECT_EQ(bus.erases[0], "GET /cgi-bin/stale?x=1");
+  EXPECT_EQ(bus.erases[0].key, "GET /cgi-bin/stale?x=1");
 }
 
 // ---- directory digests ----

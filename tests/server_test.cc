@@ -409,6 +409,26 @@ TEST(SwalaNodeTest, BadConfigRejected) {
   EXPECT_FALSE(SwalaNode::from_config(cfg2.value(), make_registry()).is_ok());
 }
 
+TEST(SwalaNodeTest, UnknownKeyRejectedByName) {
+  // A typo must not silently run on the default (here: replicated mode).
+  auto cfg = Config::parse(
+      "[server]\nport = 0\n[cluster]\ndirectory_mod = partitioned\n");
+  ASSERT_TRUE(cfg.is_ok());
+  auto node = SwalaNode::from_config(cfg.value(), make_registry());
+  ASSERT_FALSE(node.is_ok());
+  EXPECT_EQ(node.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(node.status().message().find("[cluster] directory_mod"),
+            std::string::npos)
+      << node.status().to_string();
+}
+
+TEST(SwalaNodeTest, ExampleConfigLoads) {
+  auto cfg = Config::load(SWALA_EXAMPLE_CONF);
+  ASSERT_TRUE(cfg.is_ok()) << cfg.status().to_string();
+  auto node = SwalaNode::from_config(cfg.value(), make_registry());
+  EXPECT_TRUE(node.is_ok()) << node.status().to_string();
+}
+
 TEST(SwalaNodeTest, BadMembershipConfigRejected) {
   const auto rejected = [](const std::string& cluster_section) {
     auto cfg = Config::parse("[cluster]\n" + cluster_section);
