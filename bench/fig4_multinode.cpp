@@ -21,7 +21,8 @@ int main() {
   const auto trace = workload::synthesize_adl_trace(trace_options);
 
   TablePrinter table({"# nodes", "no cache (s)", "coop cache (s)", "decrease %",
-                      "speedup (no cache)", "speedup (coop)", "remote hits"});
+                      "speedup (no cache)", "speedup (coop)", "remote hits",
+                      "coalesced"});
   double base_nocache = 0.0;
   double base_coop = 0.0;
   for (const std::size_t nodes : {1, 2, 3, 4, 5, 6, 7, 8}) {
@@ -50,7 +51,8 @@ int main() {
                     1),
          fmt_double(base_nocache / without.mean_response(), 2),
          fmt_double(base_coop / with_cache.mean_response(), 2),
-         std::to_string(with_cache.cache.remote_hits)});
+         std::to_string(with_cache.cache.remote_hits),
+         std::to_string(with_cache.cache.coalesced_misses)});
     std::printf("  simulated %zu node(s)...\n", nodes);
   }
 

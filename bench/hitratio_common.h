@@ -25,7 +25,8 @@ inline void run_hitratio_experiment(const char* experiment_id,
   std::printf("\n1600 requests, 1122 unique -> hit upper bound %zu\n\n", upper);
 
   TablePrinter table({"# nodes", "stand-alone hits", "coop hits",
-                      "stand-alone %", "coop %", "false misses"});
+                      "stand-alone %", "coop %", "false misses",
+                      "coalesced"});
   for (const std::size_t nodes : {1, 2, 4, 6, 8}) {
     sim::SimConfig config;
     config.nodes = nodes;
@@ -49,7 +50,8 @@ inline void run_hitratio_experiment(const char* experiment_id,
                    std::to_string(coop.cache.hits()),
                    nodes == 1 ? "n/a" : pct(stand.cache.hits()),
                    pct(coop.cache.hits()),
-                   std::to_string(coop.cache.false_misses)});
+                   std::to_string(coop.cache.false_misses),
+                   std::to_string(coop.cache.coalesced_misses)});
     std::printf("  simulated %zu node(s)...\n", nodes);
   }
   std::printf("\n%s\n", table.render().c_str());

@@ -30,7 +30,7 @@ double measure(std::size_t pool_size, std::size_t fetches) {
   // Seed one entry at node 0.
   http::Uri uri;
   if (!http::parse_uri("/cgi-bin/payload", &uri)) return -1;
-  auto lookup = cluster.manager(0).lookup(http::Method::kGet, uri);
+  auto lookup = cluster.manager(0).lookup(http::Method::kGet, uri, Deadline());
   cgi::CgiOutput out;
   out.success = true;
   out.body = std::string(4096, 'd');

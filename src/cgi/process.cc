@@ -52,6 +52,23 @@ std::vector<std::string> build_env(const http::Request& request,
 Result<ProcessResult> run_cgi_process(const std::string& executable,
                                       const http::Request& request,
                                       const ProcessOptions& options) {
+  // Everything the child needs is built here, before the fork: between
+  // fork and exec a child of a multithreaded server may only make
+  // async-signal-safe calls, and allocation is not one of them.
+  const auto env_strings = build_env(request, executable, options);
+  std::vector<char*> envp;
+  envp.reserve(env_strings.size() + 1);
+  for (const auto& e : env_strings) envp.push_back(const_cast<char*>(e.c_str()));
+  envp.push_back(nullptr);
+  char* argv[] = {const_cast<char*>(executable.c_str()), nullptr};
+
+  // The child's stderr is discarded rather than shared with the server.
+  const net::UniqueFd dev_null(::open("/dev/null", O_WRONLY | O_CLOEXEC));
+  if (!dev_null.valid()) {
+    return Status(StatusCode::kIoError,
+                  std::string("open /dev/null: ") + std::strerror(errno));
+  }
+
   // Close-on-exec: a CGI forked concurrently by another request thread
   // must not inherit these ends, or this request's EOF would wait for that
   // unrelated child to exit. dup2 onto stdin/stdout clears the flag.
@@ -75,19 +92,12 @@ Result<ProcessResult> run_cgi_process(const std::string& executable,
 
   if (pid == 0) {
     // Child: lead a process group of its own, so a kill reaches everything
-    // the CGI spawns; then wire pipes to stdio and exec.
+    // the CGI spawns; then wire pipes and /dev/null to stdio and exec. The
+    // originals are close-on-exec.
     ::setpgid(0, 0);
     ::dup2(in_pipe[0], STDIN_FILENO);
     ::dup2(out_pipe[1], STDOUT_FILENO);
-    for (int fd : {in_pipe[0], in_pipe[1], out_pipe[0], out_pipe[1]}) ::close(fd);
-
-    const auto env_strings = build_env(request, executable, options);
-    std::vector<char*> envp;
-    envp.reserve(env_strings.size() + 1);
-    for (const auto& e : env_strings) envp.push_back(const_cast<char*>(e.c_str()));
-    envp.push_back(nullptr);
-
-    char* argv[] = {const_cast<char*>(executable.c_str()), nullptr};
+    ::dup2(dev_null.get(), STDERR_FILENO);
     ::execve(executable.c_str(), argv, envp.data());
     _exit(127);  // exec failed
   }

@@ -174,7 +174,7 @@ ChaosVerdict run_live_chaos(const ChaosSchedule& schedule,
           break;
         }
         auto& manager = cluster.manager(node);
-        auto lookup = manager.lookup(http::Method::kGet, uri);
+        auto lookup = manager.lookup(http::Method::kGet, uri, Deadline());
         if (lookup.outcome != core::LookupOutcome::kMissMustExecute) {
           log("node " + std::to_string(node) + ": insert \"" +
               action.key_or_pattern + "\" skipped (already cached)");

@@ -256,7 +256,8 @@ void apply_action(SimState* state, const ChaosAction& action) {
                    action.key_or_pattern + "\"");
         break;
       }
-      auto lookup = state->managers[n]->lookup(http::Method::kGet, uri);
+      auto lookup =
+          state->managers[n]->lookup(http::Method::kGet, uri, Deadline());
       if (lookup.outcome != core::LookupOutcome::kMissMustExecute) {
         state->log("node " + std::to_string(n) + ": insert \"" +
                    action.key_or_pattern + "\" skipped (already cached)");

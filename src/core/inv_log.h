@@ -17,8 +17,8 @@
 // memory: `floor` is the largest epoch E such that every epoch <= E has
 // been applied; epochs above the floor sit in a (normally tiny) set until
 // the hole closes. Epoch 0 marks a legacy/unepoched invalidation: it is
-// always applied and never logged, which keeps old frames and direct
-// on_peer_invalidate(pattern) callers working unchanged.
+// always applied and never logged, which keeps old frames working
+// unchanged.
 #pragma once
 
 #include <cstdint>

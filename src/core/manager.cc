@@ -2,11 +2,25 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <iterator>
 
 #include "common/logging.h"
 
 namespace swala::core {
+
+/// Waiters block on `cv` until the leader publishes. Held by shared_ptr so
+/// a waiter can outlive the map entry.
+struct InFlight {
+  std::string key;
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool done = false;     // guarded by mutex
+  bool success = false;  // guarded by mutex
+  cgi::CgiOutput output;  ///< valid when success
+  int fail_status = 500;
+  std::string fail_reason;
+};
 
 CacheManager::CacheManager(NodeId self, std::size_t num_nodes,
                            ManagerOptions options, const Clock* clock,
@@ -58,18 +72,8 @@ CacheKey CacheManager::key_for(http::Method method, const http::Uri& uri) {
   return CacheKey::make(http::method_name(method), uri.canonical());
 }
 
-LookupResult CacheManager::lookup(http::Method method, const http::Uri& uri) {
-  return lookup_impl(method, uri, /*deadline=*/nullptr);
-}
-
 LookupResult CacheManager::lookup(http::Method method, const http::Uri& uri,
                                   const Deadline& deadline) {
-  return lookup_impl(method, uri, &deadline);
-}
-
-LookupResult CacheManager::lookup_impl(http::Method method,
-                                       const http::Uri& uri,
-                                       const Deadline* deadline) {
   lookups_.fetch_add(1, std::memory_order_relaxed);
   LookupResult out;
   out.rule = options_.rules.classify(uri.path);
@@ -122,10 +126,7 @@ LookupResult CacheManager::lookup_impl(http::Method method,
     // No directory state anywhere: probe the peers (ICP-style), bounded by
     // the transport's query timeout and the request deadline.
     peer_queries_.fetch_add(1, std::memory_order_relaxed);
-    const int budget = deadline != nullptr && !deadline->unlimited()
-                           ? deadline->budget_ms(0)
-                           : 0;
-    auto entry = bus_->query_peers(key.text, budget);
+    auto entry = bus_->query_peers(key.text, deadline.budget_ms(0));
     if (entry && entry.value().owner != self_) {
       peer_query_hits_.fetch_add(1, std::memory_order_relaxed);
       EntryMeta meta = std::move(entry.value());
@@ -140,17 +141,15 @@ LookupResult CacheManager::lookup_impl(http::Method method,
 
   misses_.fetch_add(1, std::memory_order_relaxed);
   out.outcome = LookupOutcome::kMissMustExecute;
-  return finish_miss(std::move(out), key.text, deadline);
+  return finish_miss(std::move(out), key.text);
 }
 
 bool CacheManager::fetch_hit_from(LookupResult* out, const EntryMeta& meta,
-                                  const Deadline* deadline,
+                                  const Deadline& deadline,
                                   FalseHitSource source) {
   if (bus_ == nullptr) return false;
-  auto remote = deadline != nullptr && !deadline->unlimited()
-                    ? bus_->fetch_remote(meta.owner, meta.key,
-                                         deadline->budget_ms(0))
-                    : bus_->fetch_remote(meta.owner, meta.key);
+  // budget_ms(0) is 0 (= the transport's own timeout) when unlimited.
+  auto remote = bus_->fetch_remote(meta.owner, meta.key, deadline.budget_ms(0));
   if (remote) {
     remote_hits_.fetch_add(1, std::memory_order_relaxed);
     out->outcome = LookupOutcome::kHit;
@@ -191,16 +190,13 @@ bool CacheManager::fetch_hit_from(LookupResult* out, const EntryMeta& meta,
 
 bool CacheManager::probe_dir_owner(LookupResult* out, NodeId owner_node,
                                    const std::string& key,
-                                   const Deadline* deadline) {
+                                   const Deadline& deadline) {
   if (bus_ == nullptr || owner_node == self_ ||
       directory_->quarantined(owner_node)) {
     return false;
   }
   remote_dir_lookups_.fetch_add(1, std::memory_order_relaxed);
-  const int budget = deadline != nullptr && !deadline->unlimited()
-                         ? deadline->budget_ms(0)
-                         : 0;
-  auto entry = bus_->lookup_at_owner(owner_node, key, budget);
+  auto entry = bus_->lookup_at_owner(owner_node, key, deadline.budget_ms(0));
   if (entry && entry.value().owner != self_) {
     remote_dir_hits_.fetch_add(1, std::memory_order_relaxed);
     EntryMeta meta = std::move(entry.value());
@@ -291,53 +287,52 @@ bool CacheManager::announce_erase(const std::string& key,
   return false;
 }
 
-LookupResult CacheManager::finish_miss(LookupResult out, const std::string& key,
-                                       const Deadline* deadline) {
-  // Plain lookups keep the legacy contract: every miss executes, and
-  // callers are not required to call complete()/fail() (the simulator and
-  // several tests rely on that). Single-flight only engages when the
-  // caller opted into the deadline-aware path.
-  if (deadline == nullptr) return out;
-
-  std::shared_ptr<InFlight> flight;
-  {
-    std::lock_guard<std::mutex> lock(inflight_mutex_);
-    // Negative cache: a recent execution failure for this key is remembered;
-    // fail fast instead of re-forking a CGI that just failed.
-    if (auto it = negative_.find(key); it != negative_.end()) {
-      if (clock_ != nullptr && clock_->now() < it->second.expires) {
-        failed_fast_.fetch_add(1, std::memory_order_relaxed);
-        out.outcome = LookupOutcome::kFailedFast;
-        out.fail_status = it->second.status;
-        out.fail_reason = it->second.reason;
-        return out;
-      }
-      negative_.erase(it);
+LookupResult CacheManager::finish_miss(LookupResult out,
+                                       const std::string& key) {
+  std::lock_guard<std::mutex> lock(inflight_mutex_);
+  // Negative cache: a recent execution failure for this key is remembered;
+  // fail fast instead of re-forking a CGI that just failed.
+  if (auto it = negative_.find(key); it != negative_.end()) {
+    if (clock_ != nullptr && clock_->now() < it->second.expires) {
+      failed_fast_.fetch_add(1, std::memory_order_relaxed);
+      out.outcome = LookupOutcome::kFailedFast;
+      out.fail_status = it->second.status;
+      out.fail_reason = it->second.reason;
+      return out;
     }
-    auto [it, inserted] =
-        inflight_.try_emplace(key, nullptr);
-    if (inserted) {
-      it->second = std::make_shared<InFlight>();
-      return out;  // leader: kMissMustExecute; MUST complete() or fail()
-    }
-    flight = it->second;
+    negative_.erase(it);
   }
+  auto [it, inserted] = inflight_.try_emplace(key, nullptr);
+  if (inserted) {
+    it->second = std::make_shared<InFlight>();
+    it->second->key = key;
+    return out;  // leader: kMissMustExecute; MUST complete() or fail()
+  }
+  out.outcome = LookupOutcome::kPending;
+  out.flight = it->second;
+  return out;
+}
 
-  // Waiter: block on the leader's flight (its own mutex/cv — never the map
-  // mutex) until it publishes or our own deadline runs out. Short slices so
-  // a ManualClock advanced by a test is noticed without real time passing.
+LookupResult CacheManager::await(LookupResult pending,
+                                 const Deadline& deadline) {
+  LookupResult out = std::move(pending);
+  const std::shared_ptr<InFlight> flight = std::move(out.flight);
+  if (out.outcome != LookupOutcome::kPending || flight == nullptr) return out;
+
+  // Block on the leader's flight (its own mutex/cv — never the map mutex)
+  // until it publishes or our own deadline runs out. Short slices so a
+  // ManualClock advanced by a test is noticed without real time passing.
   std::unique_lock<std::mutex> lock(flight->mutex);
   while (!flight->done) {
-    if (deadline->expired()) {
+    if (deadline.expired()) {
       coalesce_timeouts_.fetch_add(1, std::memory_order_relaxed);
       out.outcome = LookupOutcome::kFailedFast;
       out.fail_status = 503;
       out.fail_reason = "deadline expired waiting for in-flight execution";
       return out;
     }
-    const int slice_ms =
-        deadline->unlimited() ? 50 : std::min(50, deadline->budget_ms(50));
-    flight->cv.wait_for(lock, std::chrono::milliseconds(slice_ms));
+    flight->cv.wait_for(lock,
+                        std::chrono::milliseconds(deadline.budget_ms(50)));
   }
 
   coalesced_misses_.fetch_add(1, std::memory_order_relaxed);
@@ -350,7 +345,7 @@ LookupResult CacheManager::finish_miss(LookupResult out, const std::string& key,
   out.outcome = LookupOutcome::kHit;
   out.coalesced = true;
   out.owner = self_;
-  out.result.meta.key = key;
+  out.result.meta.key = flight->key;
   out.result.meta.owner = self_;
   out.result.meta.content_type = flight->output.content_type;
   out.result.meta.http_status = flight->output.http_status;
@@ -611,10 +606,6 @@ void CacheManager::maybe_checkpoint() {
 
 std::size_t CacheManager::invalidate(const std::string& pattern) {
   return apply_invalidation(pattern, /*rebroadcast=*/true, self_, 0);
-}
-
-std::size_t CacheManager::on_peer_invalidate(const std::string& pattern) {
-  return apply_invalidation(pattern, /*rebroadcast=*/false, kInvalidNode, 0);
 }
 
 std::size_t CacheManager::on_peer_invalidate(const std::string& pattern,

@@ -22,7 +22,6 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -154,10 +153,15 @@ enum class LookupOutcome {
   /// Fail without executing: the key is negative-cached after a recent
   /// execution failure, the in-flight leader this request coalesced onto
   /// failed, or the request's deadline expired while waiting for the
-  /// leader. `fail_status`/`fail_reason` describe the error. Only the
-  /// deadline-aware lookup produces this outcome.
+  /// leader. `fail_status`/`fail_reason` describe the error.
   kFailedFast,
+  /// Another request is already executing this key: hand the result to
+  /// `CacheManager::await` for the leader's output instead of executing.
+  kPending,
 };
+
+/// One in-flight execution of a key (single-flight); defined in manager.cc.
+struct InFlight;
 
 struct LookupResult {
   LookupOutcome outcome = LookupOutcome::kUncacheable;
@@ -170,6 +174,8 @@ struct LookupResult {
   NodeId owner = kInvalidNode;
   int fail_status = 0;      ///< HTTP status when outcome == kFailedFast
   std::string fail_reason;  ///< diagnostic when outcome == kFailedFast
+  /// The leader's execution when outcome == kPending.
+  std::shared_ptr<InFlight> flight;
 };
 
 /// Counters for the experiments (all monotonic).
@@ -329,18 +335,22 @@ class CacheManager {
   // ---- Request-thread API (Figure 2) ----
 
   /// Classifies and, on a hit, fetches. A false hit (remote copy vanished)
-  /// comes back as kMissMustExecute after cleaning the directory.
-  LookupResult lookup(http::Method method, const http::Uri& uri);
-
-  /// Deadline-aware lookup with single-flight miss coalescing: concurrent
-  /// misses (and expired-TTL refreshes) of one key share a single
-  /// execution. The first miss becomes the *leader* (kMissMustExecute; it
-  /// MUST later call `complete` or `fail`, or waiters stall until their
-  /// deadlines); later misses block — up to `deadline` — for the leader's
-  /// result and come back as a coalesced kHit or a propagated kFailedFast.
-  /// Remote fetches cap their socket timeouts at the remaining budget.
+  /// comes back as a miss after cleaning the directory. Misses (and
+  /// expired-TTL refreshes) of one key share a single execution: the first
+  /// becomes the *leader* (kMissMustExecute; it MUST later call `complete`
+  /// or `fail`, or waiters stall until their deadlines), later ones return
+  /// kPending at once. Never waits on another request's execution. A key
+  /// whose execution failed within `negative_ttl_seconds` fails fast
+  /// (kFailedFast). Remote fetches and probes cap their timeouts at the
+  /// remaining budget (an unlimited deadline uses the transport defaults).
   LookupResult lookup(http::Method method, const http::Uri& uri,
                       const Deadline& deadline);
+
+  /// Resolves a kPending lookup: waits — up to `deadline` — for the leader
+  /// to publish and returns a coalesced kHit or a propagated kFailedFast
+  /// (also when the deadline expires first). Returns at once when the
+  /// leader already published; any other outcome is returned unchanged.
+  LookupResult await(LookupResult pending, const Deadline& deadline);
 
   /// Reports a finished CGI execution so the result can be cached and
   /// broadcast. `rule` must be the decision `lookup` returned. Also
@@ -391,12 +401,10 @@ class CacheManager {
   /// ("GET /cgi-bin/report?q=1"). Returns local removals.
   std::size_t invalidate(const std::string& pattern);
 
-  /// Applies a peer's invalidation broadcast (no re-broadcast).
-  std::size_t on_peer_invalidate(const std::string& pattern);
-
-  /// Epoch-stamped variant: the (origin, epoch) pair feeds the replay log's
-  /// exact duplicate filter, so a replayed frame is a no-op. Epoch 0 =
-  /// legacy/unepoched (always applied, never logged).
+  /// Applies a peer's invalidation broadcast (no re-broadcast). The
+  /// (origin, epoch) pair feeds the replay log's exact duplicate filter, so
+  /// a replayed frame is a no-op. Epoch 0 = legacy/unepoched (always
+  /// applied, never logged).
   std::size_t on_peer_invalidate(const std::string& pattern, NodeId origin,
                                  std::uint64_t epoch);
 
@@ -592,18 +600,6 @@ class CacheManager {
   static CacheKey key_for(http::Method method, const http::Uri& uri);
 
  private:
-  /// One in-flight execution; waiters block on `cv` until the leader
-  /// publishes. Held by shared_ptr so a waiter can outlive the map entry.
-  struct InFlight {
-    std::mutex mutex;
-    std::condition_variable cv;
-    bool done = false;     // guarded by mutex
-    bool success = false;  // guarded by mutex
-    cgi::CgiOutput output;  ///< valid when success
-    int fail_status = 500;
-    std::string fail_reason;
-  };
-
   /// A remembered execution failure (negative cache).
   struct NegativeEntry {
     TimeNs expires = 0;
@@ -611,15 +607,10 @@ class CacheManager {
     std::string reason;
   };
 
-  /// Shared body of the two lookup overloads; `deadline` null = the legacy
-  /// path (no single-flight, no negative cache, uncapped remote fetch).
-  LookupResult lookup_impl(http::Method method, const http::Uri& uri,
-                           const Deadline* deadline);
-
   /// Partitioned-mode probe of one candidate directory owner (current or
   /// pre-transition). True when the lookup was satisfied (`out` is a hit).
   bool probe_dir_owner(LookupResult* out, NodeId owner_node,
-                       const std::string& key, const Deadline* deadline);
+                       const std::string& key, const Deadline& deadline);
 
   /// `key`'s owner under the pre-transition ring, or the current owner when
   /// no dual-read window is open (so prev != current ⇔ dual read needed).
@@ -642,7 +633,7 @@ class CacheManager {
   /// Handles the false-hit (kNotFound) bookkeeping per `source` and counts
   /// fallback_executions on transport failure. Returns true on a hit.
   bool fetch_hit_from(LookupResult* out, const EntryMeta& meta,
-                      const Deadline* deadline, FalseHitSource source);
+                      const Deadline& deadline, FalseHitSource source);
 
   /// Mode-aware announcement of a local insert/erase: broadcast in
   /// replicated mode, unicast to the ring owner in partitioned mode, silent
@@ -650,12 +641,12 @@ class CacheManager {
   void announce_insert(const EntryMeta& meta);
   bool announce_erase(const std::string& key, std::uint64_t version);
 
-  /// Single-flight entry point for a miss: leader registration or waiting.
-  LookupResult finish_miss(LookupResult out, const std::string& key,
-                           const Deadline* deadline);
+  /// Single-flight entry point for a miss: negative-cache check, then
+  /// leader registration or a kPending handle on the existing leader.
+  LookupResult finish_miss(LookupResult out, const std::string& key);
 
   /// Releases waiters for `key` with a result or an error. No-op when no
-  /// in-flight entry exists (plain-lookup callers never register one).
+  /// in-flight entry exists (uncacheable or already published).
   void publish_execution(const std::string& key, bool success,
                          const cgi::CgiOutput* output, int fail_status,
                          const std::string& fail_reason);

@@ -73,6 +73,11 @@ http::Response run_dynamic(const http::Request& request,
   bool leader = false;  // single-flight: this request owns the execution
   if (ctx.cache != nullptr) {
     auto lookup = ctx.cache->lookup(request.method, request.uri, deadline);
+    if (lookup.outcome == core::LookupOutcome::kPending) {
+      // Another request is executing this key: park this worker on its
+      // result (bounded by our own deadline) instead of forking a duplicate.
+      lookup = ctx.cache->await(std::move(lookup), deadline);
+    }
     if (lookup.outcome == core::LookupOutcome::kHit) {
       if (lookup.remote) {
         count(ctx.counters, &ServerCounters::cache_hits_remote);
@@ -487,11 +492,6 @@ http::Response overload_response(int status, std::string_view reason,
     resp.headers.set("Retry-After", std::to_string(retry_after_seconds));
   }
   return resp;
-}
-
-http::Response handle_request(const http::Request& request,
-                              const ServeContext& ctx) {
-  return handle_request(request, ctx, Deadline());
 }
 
 bool finalize_response(const http::Request& request, const ServeContext& ctx,

@@ -142,11 +142,9 @@ struct ServeContext {
 /// Serves requests on `stream` until close / keep-alive exhaustion / error.
 void handle_connection(net::TcpStream stream, const ServeContext& ctx);
 
-/// Handles one parsed request; exposed for unit tests. The first form runs
-/// with an unlimited deadline; the second threads the caller's per-request
-/// budget through the cache lookup, remote fetch, CGI gate and execution.
-http::Response handle_request(const http::Request& request,
-                              const ServeContext& ctx);
+/// Handles one parsed request; exposed for unit tests. Threads the caller's
+/// per-request budget (`Deadline()` = unlimited) through the cache lookup,
+/// single-flight wait, remote fetch, CGI gate and execution.
 http::Response handle_request(const http::Request& request,
                               const ServeContext& ctx,
                               const Deadline& deadline);

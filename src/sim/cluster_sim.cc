@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -48,6 +49,13 @@ struct SimState {
   LatencyHistogram response_times;
   std::uint64_t completed = 0;
   const SimConfig* config = nullptr;
+
+  /// Per node: cache key → resumptions of the requests whose lookup found
+  /// another stream executing that key there (single-flight kPending).
+  /// They run right after the leader's complete().
+  std::vector<std::unordered_map<std::string,
+                                 std::vector<std::function<void()>>>>
+      parked;
 
   // ---- membership churn (see SimConfig::join_node et al.) ----
   static constexpr std::size_t kNever = static_cast<std::size_t>(-1);
@@ -156,6 +164,32 @@ void finish_request(SimState* st, std::size_t s, double issued_at) {
   issue_next(st, s);
 }
 
+/// Queues `service` seconds of CPU work on `node` once `delay` seconds of
+/// virtual latency (a directory probe round trip) have passed. The CPU
+/// stays free for other streams meanwhile.
+void submit_after(SimState* st, std::size_t node, double delay,
+                  double service, std::function<void()> done) {
+  FcfsResource* queue = st->cpus[node].get();
+  if (delay > 0.0) {
+    st->engine.schedule_in(delay,
+                           [queue, service, done = std::move(done)]() mutable {
+                             queue->submit(service, std::move(done));
+                           });
+  } else {
+    queue->submit(service, std::move(done));
+  }
+}
+
+/// The leader for `key` on `node` just published: resume every request
+/// parked on it.
+void resume_parked(SimState* st, std::size_t node, const std::string& key) {
+  const auto it = st->parked[node].find(key);
+  if (it == st->parked[node].end()) return;
+  const auto waiters = std::move(it->second);
+  st->parked[node].erase(it);
+  for (const auto& resume : waiters) resume();
+}
+
 void issue_next(SimState* st, std::size_t s) {
   auto& stream = st->streams[s];
   if (stream.next >= stream.requests.size()) return;  // stream drained
@@ -194,30 +228,49 @@ void issue_next(SimState* st, std::size_t s) {
     return;
   }
 
-  // Figure-2 flow. The lookup (and any remote data transfer) happens now;
-  // time costs are charged via the CPU queue / latency events.
-  auto lookup = manager->lookup(http::Method::kGet, uri);
+  // Figure-2 flow on the server's lookup path. The lookup (and any remote
+  // data transfer) happens now; time costs are charged via the CPU queue /
+  // latency events.
+  auto lookup = manager->lookup(http::Method::kGet, uri, Deadline());
 
   // Directory probes (partitioned owner lookups, query-mode sweeps) run
   // synchronously inside lookup() but their round trips are virtual-time
-  // latency: delay this request's CPU work by the accrued amount. The CPU
-  // stays free for other streams while the probe is in flight.
+  // latency: delay this request's CPU work by the accrued amount.
   const double probe_lat =
       st->buses.empty() ? 0.0 : st->buses[node]->take_pending_latency();
   auto submit = [st, node, probe_lat](double service,
                                       std::function<void()> done) {
-    FcfsResource* queue = st->cpus[node].get();
-    if (probe_lat > 0.0) {
-      st->engine.schedule_in(probe_lat,
-                             [queue, service, done = std::move(done)]() mutable {
-                               queue->submit(service, std::move(done));
-                             });
-    } else {
-      queue->submit(service, std::move(done));
-    }
+    submit_after(st, node, probe_lat, service, std::move(done));
   };
 
   switch (lookup.outcome) {
+    case core::LookupOutcome::kPending: {
+      // Single-flight: another stream is executing this key on this node.
+      // Once it publishes, `await` returns the shared result at once; serve
+      // it like a local hit, but not before this request's own probe ends.
+      const std::string key =
+          core::CacheManager::key_for(http::Method::kGet, uri).text;
+      const double service =
+          pressure * (costs.per_request_overhead + costs.local_fetch_cpu);
+      st->parked[node][key].push_back(
+          [st, node, s, issued_at, service, probe_end = issued_at + probe_lat,
+           lookup = std::move(lookup)]() mutable {
+            (void)st->managers[node]->await(std::move(lookup), Deadline());
+            submit_after(st, node, probe_end - st->engine.now(), service,
+                         [st, s, issued_at] {
+                           finish_request(st, s, issued_at);
+                         });
+          });
+      return;
+    }
+
+    case core::LookupOutcome::kFailedFast:
+      // Unreached: the simulated nodes keep no negative cache and never
+      // wait under a finite deadline. Answer like a rejected request.
+      submit(pressure * costs.per_request_overhead,
+             [st, s, issued_at] { finish_request(st, s, issued_at); });
+      return;
+
     case core::LookupOutcome::kHit:
       if (lookup.remote) {
         // Requester-side CPU, then the network round trip to the owner.
@@ -242,17 +295,21 @@ void issue_next(SimState* st, std::size_t s) {
       const core::RuleDecision rule = lookup.rule;
       const double exec_seconds = r.service_seconds;
       const workload::TraceRecord* record = &r;
-      submit(service, [st, s, issued_at, manager, rule, exec_seconds,
+      submit(service, [st, s, node, issued_at, manager, rule, exec_seconds,
                        record, uri] {
         if (rule.cacheable) {
           // Execution finished *now*: insert and broadcast at this moment,
           // which is what opens the false-miss window for concurrent
-          // identical requests elsewhere.
+          // identical requests on other nodes. Same-node duplicates were
+          // parked on this execution and resume now.
           cgi::CgiOutput output;
           output.success = true;
           output.http_status = 200;
           output.body.resize(record->response_bytes, 'x');
           manager->complete(http::Method::kGet, uri, rule, output, exec_seconds);
+          resume_parked(
+              st, node,
+              core::CacheManager::key_for(http::Method::kGet, uri).text);
         }
         finish_request(st, s, issued_at);
       });
@@ -329,6 +386,7 @@ SimReport run_cluster_sim(const workload::Trace& trace, const SimConfig& config)
     st.cpus.push_back(std::make_unique<FcfsResource>(&st.engine));
   }
   st.memory.resize(n);
+  st.parked.resize(n);
 
   if (config.open_loop) {
     // Open loop: one single-request "stream" per trace record, fired at the
@@ -378,6 +436,7 @@ SimReport run_cluster_sim(const workload::Trace& trace, const SimConfig& config)
     report.cache.remote_dir_hits += stats.remote_dir_hits;
     report.cache.peer_queries += stats.peer_queries;
     report.cache.peer_query_hits += stats.peer_query_hits;
+    report.cache.coalesced_misses += stats.coalesced_misses;
   }
   report.dir_update_frames = st.traffic.updates.frames;
   report.dir_update_bytes = st.traffic.updates.bytes;

@@ -7,6 +7,7 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <fcntl.h>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
@@ -452,7 +453,7 @@ TEST(ProcessCgiTest, FailedExecutionIsNotCached) {
   core::CacheManager manager(0, 1, std::move(mo), RealClock::instance());
 
   const auto req = make_request("/cgi-bin/broken");
-  auto lookup = manager.lookup(req.method, req.uri);
+  auto lookup = manager.lookup(req.method, req.uri, Deadline());
   ASSERT_EQ(lookup.outcome, core::LookupOutcome::kMissMustExecute);
 
   ProcessCgi cgi("/nonexistent/program");
@@ -465,8 +466,39 @@ TEST(ProcessCgiTest, FailedExecutionIsNotCached) {
   EXPECT_EQ(manager.stats().inserts, 0u);
   EXPECT_EQ(manager.stats().failed_exec, 1u);
   // Next lookup is still a miss — nothing was poisoned into the cache.
-  EXPECT_EQ(manager.lookup(req.method, req.uri).outcome,
+  EXPECT_EQ(manager.lookup(req.method, req.uri, Deadline()).outcome,
             core::LookupOutcome::kMissMustExecute);
+}
+
+TEST(ProcessCgiTest, ChildStderrDoesNotReachServerStderr) {
+  // A CGI's diagnostics must not land in the server's own stderr. Point
+  // this process's fd 2 at a pipe while the CGI writes to its stderr:
+  // nothing may arrive there.
+  const std::string script = "/tmp/swala_test_cgi_stderr.sh";
+  ASSERT_TRUE(write_script(
+      script, "echo noise >&2\nprintf 'Content-Type: text/plain\\n\\nok'\n"));
+  int capture[2];
+  ASSERT_EQ(::pipe2(capture, O_CLOEXEC), 0);
+  const int saved_stderr = ::dup(STDERR_FILENO);
+  ::dup2(capture[1], STDERR_FILENO);
+  ::close(capture[1]);
+  ProcessCgi cgi(script);
+  auto out = cgi.run(make_request("/cgi-bin/stderr"));
+  ::dup2(saved_stderr, STDERR_FILENO);
+  ::close(saved_stderr);
+
+  // Every write end is closed again, so the read ends at EOF.
+  std::string leaked;
+  char buf[256];
+  ssize_t n = 0;
+  while ((n = ::read(capture[0], buf, sizeof(buf))) > 0) {
+    leaked.append(buf, static_cast<std::size_t>(n));
+  }
+  ::close(capture[0]);
+  ASSERT_TRUE(out.is_ok());
+  EXPECT_EQ(out.value().body, "ok");
+  EXPECT_EQ(leaked, "");
+  unlink(script.c_str());
 }
 
 TEST(ProcessCgiTest, BodyPipedToStdin) {

@@ -58,8 +58,20 @@ cgi::CgiOutput ok_output(const std::string& body) {
 
 void cache_on(core::CacheManager& manager, const std::string& target) {
   const auto uri = uri_of(target);
-  auto lookup = manager.lookup(http::Method::kGet, uri);
+  auto lookup = manager.lookup(http::Method::kGet, uri, Deadline());
   manager.complete(http::Method::kGet, uri, lookup.rule, ok_output("x"), 1.0);
+}
+
+/// One lookup that only drives the cluster (probes, fetches, breaker
+/// counts): a miss releases its single-flight claim at once, so the next
+/// lookup of the key classifies afresh instead of coalescing.
+void probe_lookup(core::CacheManager& manager, const std::string& target) {
+  const auto uri = uri_of(target);
+  const auto lookup = manager.lookup(http::Method::kGet, uri, Deadline());
+  if (lookup.outcome == core::LookupOutcome::kMissMustExecute) {
+    manager.fail(http::Method::kGet, uri, lookup.rule, 503, "probe only",
+                 /*remember=*/false);
+  }
 }
 
 bool eventually(const std::function<bool()>& pred, int max_ms = 5000) {
@@ -106,7 +118,8 @@ TEST(ClusterFailureTest, BlackholedFetchFallsBackWithinDeadline) {
 
   const auto start = std::chrono::steady_clock::now();
   auto result = cluster.manager(1).lookup(http::Method::kGet,
-                                          uri_of("/cgi-bin/blackholed"));
+                                          uri_of("/cgi-bin/blackholed"),
+                                          Deadline());
   const double elapsed = elapsed_ms_since(start);
 
   EXPECT_EQ(result.outcome, core::LookupOutcome::kMissMustExecute);
@@ -142,7 +155,8 @@ TEST(ClusterFailureTest, DroppedInsertBroadcastCausesFalseMiss) {
   EXPECT_FALSE(
       cluster.manager(1).directory().lookup("GET /cgi-bin/dup").has_value());
   auto result =
-      cluster.manager(1).lookup(http::Method::kGet, uri_of("/cgi-bin/dup"));
+      cluster.manager(1).lookup(http::Method::kGet, uri_of("/cgi-bin/dup"),
+                                Deadline());
   EXPECT_EQ(result.outcome, core::LookupOutcome::kMissMustExecute);
 
   // It executes and caches its own copy; node 0 sees the duplicate insert
@@ -178,7 +192,8 @@ TEST(ClusterFailureTest, SlowPeerFetchTimesOutAndFallsBack) {
 
   const auto start = std::chrono::steady_clock::now();
   auto result =
-      cluster.manager(1).lookup(http::Method::kGet, uri_of("/cgi-bin/slow"));
+      cluster.manager(1).lookup(http::Method::kGet, uri_of("/cgi-bin/slow"),
+                                Deadline());
   const double elapsed = elapsed_ms_since(start);
 
   EXPECT_EQ(result.outcome, core::LookupOutcome::kMissMustExecute);
@@ -206,8 +221,7 @@ TEST(ClusterFailureTest, PartitionQuarantineRejoinResync) {
   // Drive lookups until the circuit opens (each failed fetch records one
   // failure; threshold is 2).
   ASSERT_TRUE(eventually([&] {
-    (void)cluster.manager(1).lookup(http::Method::kGet,
-                                    uri_of("/cgi-bin/stable"));
+    probe_lookup(cluster.manager(1), "/cgi-bin/stable");
     return cluster.group(1).peer_state(0) == PeerState::kDead;
   }));
 
@@ -218,7 +232,8 @@ TEST(ClusterFailureTest, PartitionQuarantineRejoinResync) {
       cluster.manager(1).directory().lookup("GET /cgi-bin/stable").has_value());
   const auto start = std::chrono::steady_clock::now();
   auto during = cluster.manager(1).lookup(http::Method::kGet,
-                                          uri_of("/cgi-bin/stable"));
+                                          uri_of("/cgi-bin/stable"),
+                                          Deadline());
   EXPECT_EQ(during.outcome, core::LookupOutcome::kMissMustExecute);
   EXPECT_LT(elapsed_ms_since(start), 200.0) << "quarantined lookup not fast";
 
@@ -246,7 +261,7 @@ TEST(ClusterFailureTest, PartitionQuarantineRejoinResync) {
 
   // End-to-end: the remote fetch works again.
   auto after = cluster.manager(1).lookup(http::Method::kGet,
-                                         uri_of("/cgi-bin/stable"));
+                                         uri_of("/cgi-bin/stable"), Deadline());
   EXPECT_EQ(after.outcome, core::LookupOutcome::kHit);
   EXPECT_TRUE(after.remote);
 }
@@ -382,7 +397,8 @@ TEST(ClusterFailureTest, DeadOwnerFallsBackToExecution) {
   // reports a miss so the request thread executes locally — counted as a
   // fallback, not a false hit.
   auto result = cluster.manager(1).lookup(http::Method::kGet,
-                                          uri_of("/cgi-bin/doomed"));
+                                          uri_of("/cgi-bin/doomed"),
+                                          Deadline());
   EXPECT_EQ(result.outcome, core::LookupOutcome::kMissMustExecute);
   EXPECT_EQ(cluster.manager(1).stats().fallback_executions, 1u);
   EXPECT_EQ(cluster.manager(1).stats().false_hits, 0u);
@@ -442,7 +458,8 @@ TEST(ClusterFailureTest, PartitionedOwnerBlackholeFallsBackWithinDeadline) {
   // Node 1 holds no directory state for the key (only the owner does), so
   // its lookup must probe node 2 — and the probe is black-holed.
   const auto start = std::chrono::steady_clock::now();
-  auto result = cluster.manager(1).lookup(http::Method::kGet, uri_of(target));
+  auto result = cluster.manager(1).lookup(http::Method::kGet, uri_of(target),
+                                          Deadline());
   const double elapsed = elapsed_ms_since(start);
 
   EXPECT_EQ(result.outcome, core::LookupOutcome::kMissMustExecute);
@@ -477,14 +494,15 @@ TEST(ClusterFailureTest, PartitionedOwnerRejoinRepopulatesPartition) {
   cluster.group(1).stop();
   const std::string probed = target_owned_by(2, 1) + "-cold";
   ASSERT_TRUE(eventually([&] {
-    (void)cluster.manager(0).lookup(http::Method::kGet, uri_of(probed));
+    probe_lookup(cluster.manager(0), probed);
     return cluster.group(0).peer_state(1) == PeerState::kDead;
   }));
 
   // Quarantined range: lookups in it skip the probe and execute locally,
   // fast — the survivor pays nothing for the dead owner.
   const auto start = std::chrono::steady_clock::now();
-  auto during = cluster.manager(0).lookup(http::Method::kGet, uri_of(probed));
+  auto during = cluster.manager(0).lookup(http::Method::kGet, uri_of(probed),
+                                          Deadline());
   EXPECT_EQ(during.outcome, core::LookupOutcome::kMissMustExecute);
   EXPECT_LT(elapsed_ms_since(start), 200.0) << "quarantined lookup not fast";
 
@@ -509,7 +527,8 @@ TEST(ClusterFailureTest, PartitionedOwnerRejoinRepopulatesPartition) {
 
   // End-to-end: a lookup at the owner finds node 0's copy via its own
   // repopulated partition and serves it remotely.
-  auto after = cluster.manager(1).lookup(http::Method::kGet, uri_of(cached));
+  auto after = cluster.manager(1).lookup(http::Method::kGet, uri_of(cached),
+                                         Deadline());
   EXPECT_EQ(after.outcome, core::LookupOutcome::kHit);
   EXPECT_TRUE(after.remote);
 }
@@ -581,7 +600,8 @@ TEST(ClusterFailureTest, BroadcastWhilePeerDownIsLossyNotFatal) {
 
   // Local node is fully functional.
   auto result =
-      cluster.manager(0).lookup(http::Method::kGet, uri_of("/cgi-bin/lost"));
+      cluster.manager(0).lookup(http::Method::kGet, uri_of("/cgi-bin/lost"),
+                                Deadline());
   EXPECT_EQ(result.outcome, core::LookupOutcome::kHit);
 }
 
@@ -682,7 +702,8 @@ TEST(ClusterFailureTest, DuplicatedFramesAreIdempotent) {
   EXPECT_TRUE(
       cluster.manager(1).directory().lookup("GET /cgi-bin/dup?x=2").has_value());
   auto hit =
-      cluster.manager(1).lookup(http::Method::kGet, uri_of("/cgi-bin/dup?x=2"));
+      cluster.manager(1).lookup(http::Method::kGet, uri_of("/cgi-bin/dup?x=2"),
+                                Deadline());
   EXPECT_EQ(hit.outcome, core::LookupOutcome::kHit);
 }
 

@@ -43,7 +43,8 @@ bool eventually(const std::function<bool()>& pred) {
 void insert_at(LocalCluster& cluster, core::NodeId node,
                const std::string& target, const std::string& body) {
   const auto uri = uri_of(target);
-  auto lookup = cluster.manager(node).lookup(http::Method::kGet, uri);
+  auto lookup = cluster.manager(node).lookup(http::Method::kGet, uri,
+                                             Deadline());
   ASSERT_EQ(lookup.outcome, core::LookupOutcome::kMissMustExecute) << target;
   cluster.manager(node).complete(http::Method::kGet, uri, lookup.rule,
                                  ok_output(body), 1.0);
@@ -119,7 +120,7 @@ TEST(MembershipTest, StagedJoinBecomesVisibleClusterWide) {
         .has_value();
   }));
   auto hit = cluster.manager(0).lookup(http::Method::kGet,
-                                       uri_of("/cgi-bin/join/pre"));
+                                       uri_of("/cgi-bin/join/pre"), Deadline());
   ASSERT_EQ(hit.outcome, core::LookupOutcome::kHit);
   EXPECT_TRUE(hit.remote);
   EXPECT_EQ(hit.result.data, "stand-alone");
@@ -131,7 +132,8 @@ TEST(MembershipTest, StagedJoinBecomesVisibleClusterWide) {
         .has_value();
   }));
   auto seeded = cluster.manager(2).lookup(http::Method::kGet,
-                                          uri_of("/cgi-bin/join/a"));
+                                          uri_of("/cgi-bin/join/a"),
+                                          Deadline());
   ASSERT_EQ(seeded.outcome, core::LookupOutcome::kHit);
   EXPECT_EQ(seeded.result.data, "from-0");
 
@@ -241,7 +243,7 @@ TEST(MembershipTest, RollingRestartKeepsParityAcrossDirectoryModes) {
       const auto reader = (i + 1) % 3;
       auto hit = cluster.manager(reader).lookup(
           http::Method::kGet,
-          uri_of(keys[i].substr(4)));  // strip "GET "
+          uri_of(keys[i].substr(4)), Deadline());  // strip "GET "
       EXPECT_EQ(hit.outcome, core::LookupOutcome::kHit)
           << keys[i] << " unreachable from node " << reader;
     }

@@ -63,7 +63,7 @@ TEST(ClusterSoakTest, MixedChurnStaysConsistent) {
                 std::to_string(rng.uniform_int(0, 60));
             http::Uri uri;
             ASSERT_TRUE(http::parse_uri(target, &uri));
-            auto lookup = manager.lookup(http::Method::kGet, uri);
+            auto lookup = manager.lookup(http::Method::kGet, uri, Deadline());
             if (lookup.outcome == core::LookupOutcome::kMissMustExecute) {
               executed.fetch_add(1, std::memory_order_relaxed);
               manager.complete(http::Method::kGet, uri, lookup.rule,

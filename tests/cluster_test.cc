@@ -204,7 +204,7 @@ bool eventually(const std::function<bool()>& pred) {
 TEST(LocalClusterTest, InsertBroadcastReachesPeers) {
   LocalCluster cluster(3, cluster_options);
   const auto uri = uri_of("/cgi-bin/shared?x=1");
-  auto lookup = cluster.manager(0).lookup(http::Method::kGet, uri);
+  auto lookup = cluster.manager(0).lookup(http::Method::kGet, uri, Deadline());
   ASSERT_EQ(lookup.outcome, core::LookupOutcome::kMissMustExecute);
   cluster.manager(0).complete(http::Method::kGet, uri, lookup.rule,
                               ok_output("payload"), 1.0);
@@ -218,14 +218,14 @@ TEST(LocalClusterTest, InsertBroadcastReachesPeers) {
 TEST(LocalClusterTest, RemoteFetchServesData) {
   LocalCluster cluster(2, cluster_options);
   const auto uri = uri_of("/cgi-bin/data");
-  auto lookup = cluster.manager(0).lookup(http::Method::kGet, uri);
+  auto lookup = cluster.manager(0).lookup(http::Method::kGet, uri, Deadline());
   cluster.manager(0).complete(http::Method::kGet, uri, lookup.rule,
                               ok_output("cooperative!"), 1.0);
   ASSERT_TRUE(eventually([&] {
     return cluster.manager(1).directory().lookup("GET /cgi-bin/data").has_value();
   }));
 
-  auto hit = cluster.manager(1).lookup(http::Method::kGet, uri);
+  auto hit = cluster.manager(1).lookup(http::Method::kGet, uri, Deadline());
   ASSERT_EQ(hit.outcome, core::LookupOutcome::kHit);
   EXPECT_TRUE(hit.remote);
   EXPECT_EQ(hit.result.data, "cooperative!");
@@ -236,7 +236,7 @@ TEST(LocalClusterTest, RemoteFetchServesData) {
 TEST(LocalClusterTest, EraseBroadcastReachesPeers) {
   LocalCluster cluster(2, cluster_options);
   const auto uri = uri_of("/cgi-bin/temp");
-  auto lookup = cluster.manager(0).lookup(http::Method::kGet, uri);
+  auto lookup = cluster.manager(0).lookup(http::Method::kGet, uri, Deadline());
   cluster.manager(0).complete(http::Method::kGet, uri, lookup.rule,
                               ok_output("x"), 1.0);
   ASSERT_TRUE(eventually([&] {
@@ -259,7 +259,7 @@ TEST(LocalClusterTest, EraseBroadcastReachesPeers) {
 TEST(LocalClusterTest, FalseHitFallsBackCleanly) {
   LocalCluster cluster(2, cluster_options);
   const auto uri = uri_of("/cgi-bin/vanish");
-  auto lookup = cluster.manager(0).lookup(http::Method::kGet, uri);
+  auto lookup = cluster.manager(0).lookup(http::Method::kGet, uri, Deadline());
   cluster.manager(0).complete(http::Method::kGet, uri, lookup.rule,
                               ok_output("x"), 1.0);
   ASSERT_TRUE(eventually([&] {
@@ -271,7 +271,7 @@ TEST(LocalClusterTest, FalseHitFallsBackCleanly) {
   const_cast<core::CacheStore&>(cluster.manager(0).store())
       .erase("GET /cgi-bin/vanish");
 
-  auto result = cluster.manager(1).lookup(http::Method::kGet, uri);
+  auto result = cluster.manager(1).lookup(http::Method::kGet, uri, Deadline());
   EXPECT_EQ(result.outcome, core::LookupOutcome::kMissMustExecute);
   EXPECT_EQ(cluster.manager(1).stats().false_hits, 1u);
 }
@@ -279,7 +279,7 @@ TEST(LocalClusterTest, FalseHitFallsBackCleanly) {
 TEST(LocalClusterTest, PooledFetchesReuseConnections) {
   LocalCluster cluster(2, cluster_options);
   const auto uri = uri_of("/cgi-bin/pooled");
-  auto lookup = cluster.manager(0).lookup(http::Method::kGet, uri);
+  auto lookup = cluster.manager(0).lookup(http::Method::kGet, uri, Deadline());
   cluster.manager(0).complete(http::Method::kGet, uri, lookup.rule,
                               ok_output("pooled-data"), 1.0);
 
@@ -297,7 +297,7 @@ TEST(LocalClusterTest, PoolingDisabledStillWorks) {
   go.fetch_pool_size = 0;  // the original per-fetch-connection behaviour
   LocalCluster cluster(2, cluster_options, RealClock::instance(), go);
   const auto uri = uri_of("/cgi-bin/unpooled");
-  auto lookup = cluster.manager(0).lookup(http::Method::kGet, uri);
+  auto lookup = cluster.manager(0).lookup(http::Method::kGet, uri, Deadline());
   cluster.manager(0).complete(http::Method::kGet, uri, lookup.rule,
                               ok_output("d"), 1.0);
   for (int i = 0; i < 10; ++i) {
@@ -321,7 +321,7 @@ TEST(LocalClusterTest, TtlEntriesPurgedAndBroadcastAcrossCluster) {
   LocalCluster cluster(2, options_with_ttl, RealClock::instance(), go);
 
   const auto uri = uri_of("/cgi-bin/ephemeral");
-  auto lookup = cluster.manager(0).lookup(http::Method::kGet, uri);
+  auto lookup = cluster.manager(0).lookup(http::Method::kGet, uri, Deadline());
   cluster.manager(0).complete(http::Method::kGet, uri, lookup.rule,
                               ok_output("x"), 1.0);
   ASSERT_TRUE(eventually([&] {
@@ -351,7 +351,8 @@ TEST(LocalClusterTest, ConcurrentInsertsConverge) {
             "/cgi-bin/n" + std::to_string(n) + "/i" + std::to_string(i);
         http::Uri uri;
         ASSERT_TRUE(http::parse_uri(uri_str, &uri));
-        auto lookup = cluster.manager(n).lookup(http::Method::kGet, uri);
+        auto lookup = cluster.manager(n).lookup(http::Method::kGet, uri,
+                                                Deadline());
         cluster.manager(n).complete(http::Method::kGet, uri, lookup.rule,
                                     ok_output("d"), 1.0);
       }
@@ -387,7 +388,8 @@ TEST(LocalClusterTest, ConcurrentInsertsConvergeWithBatching) {
             "/cgi-bin/b" + std::to_string(n) + "/i" + std::to_string(i);
         http::Uri uri;
         ASSERT_TRUE(http::parse_uri(uri_str, &uri));
-        auto lookup = cluster.manager(n).lookup(http::Method::kGet, uri);
+        auto lookup = cluster.manager(n).lookup(http::Method::kGet, uri,
+                                                Deadline());
         cluster.manager(n).complete(http::Method::kGet, uri, lookup.rule,
                                     ok_output("d"), 1.0);
       }

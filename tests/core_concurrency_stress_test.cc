@@ -72,7 +72,7 @@ void run_churn_phase(CacheManager& manager, int threads, int ops,
           const bool ttl = dice < 10;
           const auto uri = uri_of(std::string("/cgi-bin/") +
                                   (ttl ? "ttl/" : "") + "q?k=" + k);
-          auto lookup = manager.lookup(http::Method::kGet, uri);
+          auto lookup = manager.lookup(http::Method::kGet, uri, Deadline());
           if (lookup.outcome == LookupOutcome::kMissMustExecute) {
             manager.complete(http::Method::kGet, uri, lookup.rule,
                              ok_output(32 + static_cast<std::size_t>(
@@ -144,7 +144,7 @@ TEST(EvictionVersionRegression, ReinsertSurvivesStaleEraseBroadcast) {
 
   const auto key_a = uri_of("/cgi-bin/q?k=a");
   const auto key_b = uri_of("/cgi-bin/q?k=b");
-  auto rule = owner.lookup(http::Method::kGet, key_a).rule;
+  auto rule = owner.lookup(http::Method::kGet, key_a, Deadline()).rule;
 
   owner.complete(http::Method::kGet, key_a, rule, ok_output(8), 1.0);
   owner.complete(http::Method::kGet, key_b, rule, ok_output(8), 1.0);  // evicts a
@@ -211,7 +211,7 @@ TEST(DebugConsistencyCheck, CatchesInjectedDesync) {
 TEST(DebugConsistencyCheck, ManagerDetectsInjectedDesync) {
   CacheManager manager(0, 1, churn_options(16), RealClock::instance());
   const auto uri = uri_of("/cgi-bin/q?k=1");
-  auto lookup = manager.lookup(http::Method::kGet, uri);
+  auto lookup = manager.lookup(http::Method::kGet, uri, Deadline());
   manager.complete(http::Method::kGet, uri, lookup.rule, ok_output(8), 1.0);
   EXPECT_TRUE(manager.debug_check_consistency().consistent());
 

@@ -325,7 +325,7 @@ class ManagerDurabilityTest : public DurabilityTest {
                    const std::string& body) {
     http::Uri uri;
     ASSERT_TRUE(http::parse_uri(target, &uri));
-    auto lookup = manager.lookup(http::Method::kGet, uri);
+    auto lookup = manager.lookup(http::Method::kGet, uri, Deadline());
     ASSERT_NE(lookup.outcome, LookupOutcome::kUncacheable) << target;
     if (lookup.outcome == LookupOutcome::kHit) return;
     cgi::CgiOutput out;
@@ -338,7 +338,7 @@ class ManagerDurabilityTest : public DurabilityTest {
   LookupResult do_lookup(CacheManager& manager, const std::string& target) {
     http::Uri uri;
     EXPECT_TRUE(http::parse_uri(target, &uri));
-    return manager.lookup(http::Method::kGet, uri);
+    return manager.lookup(http::Method::kGet, uri, Deadline());
   }
 };
 

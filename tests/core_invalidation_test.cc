@@ -41,7 +41,7 @@ ManagerOptions open_options(NodeId = 0) {
 
 void cache_target(CacheManager& manager, const std::string& target) {
   const auto uri = uri_of(target);
-  auto lookup = manager.lookup(http::Method::kGet, uri);
+  auto lookup = manager.lookup(http::Method::kGet, uri, Deadline());
   ASSERT_EQ(lookup.outcome, LookupOutcome::kMissMustExecute) << target;
   manager.complete(http::Method::kGet, uri, lookup.rule, ok_output("data"),
                    1.0);
@@ -108,10 +108,12 @@ TEST(ManagerInvalidationTest, LocalInvalidateRemovesStoreAndDirectory) {
 
   EXPECT_EQ(manager.invalidate("GET /cgi-bin/report*"), 2u);
   EXPECT_EQ(manager.stats().invalidations, 2u);
-  EXPECT_EQ(manager.lookup(http::Method::kGet, uri_of("/cgi-bin/report?q=1"))
+  EXPECT_EQ(manager.lookup(http::Method::kGet, uri_of("/cgi-bin/report?q=1"),
+                           Deadline())
                 .outcome,
             LookupOutcome::kMissMustExecute);
-  EXPECT_EQ(manager.lookup(http::Method::kGet, uri_of("/cgi-bin/keep?q=1"))
+  EXPECT_EQ(manager.lookup(http::Method::kGet, uri_of("/cgi-bin/keep?q=1"),
+                           Deadline())
                 .outcome,
             LookupOutcome::kHit);
 }
@@ -122,7 +124,9 @@ TEST(ManagerInvalidationTest, PeerInvalidateDoesNotRebroadcast) {
   CacheManager manager(0, 2, open_options(), &clock, &bus);
   cache_target(manager, "/cgi-bin/z?q=1");
 
-  manager.on_peer_invalidate("GET /cgi-bin/z*");
+  EXPECT_EQ(manager.on_peer_invalidate("GET /cgi-bin/z*", /*origin=*/1,
+                                       /*epoch=*/1),
+            1u);
   EXPECT_EQ(bus.invalidations.size(), 0u) << "peer application must not echo";
   manager.invalidate("GET /cgi-bin/z*");
   EXPECT_EQ(bus.invalidations.size(), 1u);
@@ -162,7 +166,8 @@ TEST_F(MonitorTest, InvalidatesWhenFileChanges) {
 
   write_file("version 2 with different size");
   EXPECT_EQ(monitor.poll(), 2u);
-  EXPECT_EQ(manager.lookup(http::Method::kGet, uri_of("/cgi-bin/report?q=1"))
+  EXPECT_EQ(manager.lookup(http::Method::kGet, uri_of("/cgi-bin/report?q=1"),
+                           Deadline())
                 .outcome,
             LookupOutcome::kMissMustExecute);
   EXPECT_EQ(monitor.poll(), 0u) << "steady state after the change";

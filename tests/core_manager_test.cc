@@ -41,7 +41,8 @@ class ManagerTest : public ::testing::Test {
 
 TEST_F(ManagerTest, UncacheablePathClassified) {
   CacheManager manager(0, 1, default_options(), &clock_);
-  const auto result = manager.lookup(http::Method::kGet, uri_of("/static/a"));
+  const auto result = manager.lookup(http::Method::kGet, uri_of("/static/a"),
+                                     Deadline());
   EXPECT_EQ(result.outcome, LookupOutcome::kUncacheable);
   EXPECT_EQ(manager.stats().uncacheable, 1u);
 }
@@ -50,14 +51,14 @@ TEST_F(ManagerTest, MissThenInsertThenHit) {
   CacheManager manager(0, 1, default_options(), &clock_);
   const auto uri = uri_of("/cgi-bin/q?x=1");
 
-  auto first = manager.lookup(http::Method::kGet, uri);
+  auto first = manager.lookup(http::Method::kGet, uri, Deadline());
   ASSERT_EQ(first.outcome, LookupOutcome::kMissMustExecute);
 
   manager.complete(http::Method::kGet, uri, first.rule, ok_output("RESULT"),
                    /*exec_seconds=*/1.2);
   EXPECT_EQ(manager.stats().inserts, 1u);
 
-  auto second = manager.lookup(http::Method::kGet, uri);
+  auto second = manager.lookup(http::Method::kGet, uri, Deadline());
   ASSERT_EQ(second.outcome, LookupOutcome::kHit);
   EXPECT_FALSE(second.remote);
   EXPECT_EQ(second.result.data, "RESULT");
@@ -67,19 +68,19 @@ TEST_F(ManagerTest, MissThenInsertThenHit) {
 TEST_F(ManagerTest, BelowThresholdNotCached) {
   CacheManager manager(0, 1, default_options(), &clock_);
   const auto uri = uri_of("/cgi-bin/fast");
-  auto lookup = manager.lookup(http::Method::kGet, uri);
+  auto lookup = manager.lookup(http::Method::kGet, uri, Deadline());
   manager.complete(http::Method::kGet, uri, lookup.rule, ok_output("x"),
                    /*exec_seconds=*/0.1);  // < 0.5 threshold
   EXPECT_EQ(manager.stats().inserts, 0u);
   EXPECT_EQ(manager.stats().below_threshold, 1u);
-  EXPECT_EQ(manager.lookup(http::Method::kGet, uri).outcome,
+  EXPECT_EQ(manager.lookup(http::Method::kGet, uri, Deadline()).outcome,
             LookupOutcome::kMissMustExecute);
 }
 
 TEST_F(ManagerTest, FailedExecutionNotCached) {
   CacheManager manager(0, 1, default_options(), &clock_);
   const auto uri = uri_of("/cgi-bin/broken");
-  auto lookup = manager.lookup(http::Method::kGet, uri);
+  auto lookup = manager.lookup(http::Method::kGet, uri, Deadline());
   cgi::CgiOutput bad;
   bad.success = false;
   bad.http_status = 500;
@@ -91,7 +92,7 @@ TEST_F(ManagerTest, FailedExecutionNotCached) {
 TEST_F(ManagerTest, ErrorStatusNotCached) {
   CacheManager manager(0, 1, default_options(), &clock_);
   const auto uri = uri_of("/cgi-bin/notfound");
-  auto lookup = manager.lookup(http::Method::kGet, uri);
+  auto lookup = manager.lookup(http::Method::kGet, uri, Deadline());
   cgi::CgiOutput out = ok_output("nope");
   out.http_status = 404;
   manager.complete(http::Method::kGet, uri, lookup.rule, out, 2.0);
@@ -101,10 +102,10 @@ TEST_F(ManagerTest, ErrorStatusNotCached) {
 TEST_F(ManagerTest, MethodDistinguishesKeys) {
   CacheManager manager(0, 1, default_options(), &clock_);
   const auto uri = uri_of("/cgi-bin/q");
-  auto lookup = manager.lookup(http::Method::kGet, uri);
+  auto lookup = manager.lookup(http::Method::kGet, uri, Deadline());
   manager.complete(http::Method::kGet, uri, lookup.rule, ok_output("g"), 1.0);
   // POST of the same target must not hit the GET entry.
-  EXPECT_EQ(manager.lookup(http::Method::kPost, uri).outcome,
+  EXPECT_EQ(manager.lookup(http::Method::kPost, uri, Deadline()).outcome,
             LookupOutcome::kMissMustExecute);
 }
 
@@ -112,7 +113,7 @@ TEST_F(ManagerTest, InsertBroadcastsToBus) {
   RecordingBus bus;
   CacheManager manager(0, 3, default_options(), &clock_, &bus);
   const auto uri = uri_of("/cgi-bin/b");
-  auto lookup = manager.lookup(http::Method::kGet, uri);
+  auto lookup = manager.lookup(http::Method::kGet, uri, Deadline());
   manager.complete(http::Method::kGet, uri, lookup.rule, ok_output("data"), 1.0);
   ASSERT_EQ(bus.inserts.size(), 1u);
   EXPECT_EQ(bus.inserts[0].key, "GET /cgi-bin/b");
@@ -130,7 +131,8 @@ TEST_F(ManagerTest, RemoteHitThroughBus) {
   manager.on_peer_insert(peer_meta);
   bus.remote_data["GET /cgi-bin/remote"] = "REMOTE-BODY";
 
-  auto result = manager.lookup(http::Method::kGet, uri_of("/cgi-bin/remote"));
+  auto result = manager.lookup(http::Method::kGet, uri_of("/cgi-bin/remote"),
+                               Deadline());
   ASSERT_EQ(result.outcome, LookupOutcome::kHit);
   EXPECT_TRUE(result.remote);
   EXPECT_EQ(result.owner, 1u);
@@ -148,11 +150,15 @@ TEST_F(ManagerTest, FalseHitFallsBackToExecution) {
   manager.on_peer_insert(peer_meta);
   // bus.remote_data intentionally empty: the owner already evicted it.
 
-  auto result = manager.lookup(http::Method::kGet, uri_of("/cgi-bin/gone"));
+  const auto uri = uri_of("/cgi-bin/gone");
+  auto result = manager.lookup(http::Method::kGet, uri, Deadline());
   EXPECT_EQ(result.outcome, LookupOutcome::kMissMustExecute);
   EXPECT_EQ(manager.stats().false_hits, 1u);
-  // The stale directory entry was cleaned: next lookup is a plain miss.
-  auto again = manager.lookup(http::Method::kGet, uri_of("/cgi-bin/gone"));
+  // The stale directory entry was cleaned: once this leader releases the
+  // key, the next lookup is a plain miss.
+  manager.fail(http::Method::kGet, uri, result.rule, 503, "released",
+               /*remember=*/false);
+  auto again = manager.lookup(http::Method::kGet, uri, Deadline());
   EXPECT_EQ(again.outcome, LookupOutcome::kMissMustExecute);
   EXPECT_EQ(bus.fetches, 1) << "no second remote fetch after cleanup";
 }
@@ -161,7 +167,7 @@ TEST_F(ManagerTest, FalseMissDetected) {
   RecordingBus bus;
   CacheManager manager(0, 2, default_options(), &clock_, &bus);
   const auto uri = uri_of("/cgi-bin/dup");
-  auto lookup = manager.lookup(http::Method::kGet, uri);
+  auto lookup = manager.lookup(http::Method::kGet, uri, Deadline());
   manager.complete(http::Method::kGet, uri, lookup.rule, ok_output("mine"), 1.0);
   // Peer 1 executed the same request concurrently (its INSERT arrives late).
   EntryMeta peer_meta;
@@ -189,7 +195,7 @@ TEST_F(ManagerTest, EvictionBroadcastsErase) {
   CacheManager manager(0, 2, std::move(mo), &clock_, &bus);
   for (int i = 0; i < 3; ++i) {
     const auto uri = uri_of("/cgi-bin/e" + std::to_string(i));
-    auto lookup = manager.lookup(http::Method::kGet, uri);
+    auto lookup = manager.lookup(http::Method::kGet, uri, Deadline());
     manager.complete(http::Method::kGet, uri, lookup.rule, ok_output("d"), 1.0);
   }
   ASSERT_EQ(bus.erases.size(), 1u);
@@ -210,7 +216,7 @@ TEST_F(ManagerTest, PurgeBroadcastsExpiry) {
   CacheManager manager(0, 2, std::move(mo), &clock_, &bus);
 
   const auto uri = uri_of("/cgi-bin/ttl");
-  auto lookup = manager.lookup(http::Method::kGet, uri);
+  auto lookup = manager.lookup(http::Method::kGet, uri, Deadline());
   manager.complete(http::Method::kGet, uri, lookup.rule, ok_output("d"), 1.0);
   EXPECT_EQ(manager.purge_expired(), 0u);
   clock_.advance(from_seconds(10.0));
@@ -222,7 +228,7 @@ TEST_F(ManagerTest, PurgeBroadcastsExpiry) {
 TEST_F(ManagerTest, ServePeerFetch) {
   CacheManager manager(0, 1, default_options(), &clock_);
   const auto uri = uri_of("/cgi-bin/served");
-  auto lookup = manager.lookup(http::Method::kGet, uri);
+  auto lookup = manager.lookup(http::Method::kGet, uri, Deadline());
   manager.complete(http::Method::kGet, uri, lookup.rule, ok_output("body"), 1.0);
 
   auto served = manager.serve_peer_fetch("GET /cgi-bin/served");

@@ -367,7 +367,7 @@ TEST_F(PersistenceTest, ManagerRestoreRepopulatesDirectoryAndBroadcasts) {
     CacheManager manager(0, 2, mo, &clock);
     http::Uri uri;
     ASSERT_TRUE(http::parse_uri("/cgi-bin/warm?q=1", &uri));
-    auto lookup = manager.lookup(http::Method::kGet, uri);
+    auto lookup = manager.lookup(http::Method::kGet, uri, Deadline());
     cgi::CgiOutput out;
     out.success = true;
     out.body = "warm-body";
@@ -387,7 +387,7 @@ TEST_F(PersistenceTest, ManagerRestoreRepopulatesDirectoryAndBroadcasts) {
   // And the restored entry actually serves.
   http::Uri uri;
   ASSERT_TRUE(http::parse_uri("/cgi-bin/warm?q=1", &uri));
-  auto hit = manager.lookup(http::Method::kGet, uri);
+  auto hit = manager.lookup(http::Method::kGet, uri, Deadline());
   ASSERT_EQ(hit.outcome, LookupOutcome::kHit);
   EXPECT_EQ(hit.result.data, "warm-body");
 }

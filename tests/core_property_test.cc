@@ -132,7 +132,7 @@ TEST(ManagerPropertyTest, DirectoryAndStoreStayConsistent) {
 
     switch (rng.uniform_int(0, 2)) {
       case 0: {
-        auto lookup = manager.lookup(http::Method::kGet, uri);
+        auto lookup = manager.lookup(http::Method::kGet, uri, Deadline());
         if (lookup.outcome == LookupOutcome::kMissMustExecute) {
           cgi::CgiOutput out;
           out.success = true;

@@ -31,6 +31,13 @@ cgi::CgiOutput ok_output(const std::string& body) {
   return out;
 }
 
+/// What a server worker does: look up, and on kPending wait for the leader.
+LookupResult lookup_and_await(CacheManager& manager, const http::Uri& uri,
+                              const Deadline& deadline) {
+  return manager.await(manager.lookup(http::Method::kGet, uri, deadline),
+                       deadline);
+}
+
 ManagerOptions flight_options(double negative_ttl = 0.0,
                               double min_exec = 0.0) {
   ManagerOptions mo;
@@ -164,7 +171,7 @@ TEST_F(SingleFlightTest, WaitersShareOneExecutionEvenBelowThreshold) {
   for (int i = 0; i < kWaiters; ++i) {
     threads.emplace_back([&] {
       arrived.fetch_add(1);
-      const auto r = manager.lookup(http::Method::kGet, uri, Deadline());
+      const auto r = lookup_and_await(manager, uri, Deadline());
       if (r.outcome == LookupOutcome::kHit && r.coalesced) {
         EXPECT_EQ(r.result.data, "payload");
         EXPECT_EQ(r.result.meta.http_status, 200);
@@ -227,7 +234,7 @@ TEST_F(SingleFlightTest, LeaderFailurePropagatesToWaiters) {
   for (int i = 0; i < kWaiters; ++i) {
     threads.emplace_back([&] {
       arrived.fetch_add(1);
-      const auto r = manager.lookup(http::Method::kGet, uri, Deadline());
+      const auto r = lookup_and_await(manager, uri, Deadline());
       EXPECT_EQ(r.outcome, LookupOutcome::kFailedFast);
       EXPECT_EQ(r.fail_status, 500);
       if (r.outcome == LookupOutcome::kFailedFast) failed_fast.fetch_add(1);
@@ -284,22 +291,55 @@ TEST_F(SingleFlightTest, OverloadBailoutIsNotRemembered) {
   EXPECT_EQ(manager.stats().failed_fast, 0u);
 }
 
-TEST_F(SingleFlightTest, PlainLookupBypassesSingleFlightAndNegativeCache) {
-  CacheManager manager(0, 1, flight_options(/*negative_ttl=*/30.0), &clock_);
-  const auto uri = uri_of("/cgi-bin/legacy");
+TEST_F(SingleFlightTest, LookupOnInFlightKeyReturnsPendingWithoutWaiting) {
+  CacheManager manager(0, 1, flight_options(), &clock_);
+  const auto uri = uri_of("/cgi-bin/pending");
   const auto leader = manager.lookup(http::Method::kGet, uri, Deadline());
   ASSERT_EQ(leader.outcome, LookupOutcome::kMissMustExecute);
-  // Legacy two-argument lookup never coalesces: it would block callers that
-  // are not obliged to call complete()/fail() (simulator, older tests).
-  EXPECT_EQ(manager.lookup(http::Method::kGet, uri).outcome,
-            LookupOutcome::kMissMustExecute);
-  manager.fail(http::Method::kGet, uri, leader.rule, 500, "boom",
-               /*remember=*/true);
-  // ... and it ignores the negative cache; only the deadline path fails fast.
-  EXPECT_EQ(manager.lookup(http::Method::kGet, uri).outcome,
-            LookupOutcome::kMissMustExecute);
-  EXPECT_EQ(manager.lookup(http::Method::kGet, uri, Deadline()).outcome,
-            LookupOutcome::kFailedFast);
+  // Same thread, no helper thread, no clock advance: a blocking lookup
+  // would hang here.
+  const auto second = manager.lookup(http::Method::kGet, uri, Deadline());
+  EXPECT_EQ(second.outcome, LookupOutcome::kPending);
+  EXPECT_NE(second.flight, nullptr);
+  EXPECT_EQ(manager.stats().coalesced_misses, 0u) << "nothing awaited yet";
+  manager.complete(http::Method::kGet, uri, leader.rule, ok_output("done"),
+                   1.0);
+}
+
+TEST_F(SingleFlightTest, AwaitAfterCompleteReturnsCoalescedAtOnce) {
+  CacheManager manager(0, 1, flight_options(), &clock_);
+  const auto uri = uri_of("/cgi-bin/published");
+  const auto leader = manager.lookup(http::Method::kGet, uri, Deadline());
+  ASSERT_EQ(leader.outcome, LookupOutcome::kMissMustExecute);
+  auto pending = manager.lookup(http::Method::kGet, uri, Deadline());
+  ASSERT_EQ(pending.outcome, LookupOutcome::kPending);
+  manager.complete(http::Method::kGet, uri, leader.rule, ok_output("shared"),
+                   1.0);
+  const auto r = manager.await(std::move(pending), Deadline());
+  ASSERT_EQ(r.outcome, LookupOutcome::kHit);
+  EXPECT_TRUE(r.coalesced);
+  EXPECT_EQ(r.result.data, "shared");
+  EXPECT_EQ(r.result.meta.key, "GET /cgi-bin/published");
+  EXPECT_EQ(manager.stats().coalesced_misses, 1u);
+  EXPECT_EQ(manager.stats().inserts, 1u);
+}
+
+TEST_F(SingleFlightTest, AwaitWithExpiringDeadlineFailsFast) {
+  CacheManager manager(0, 1, flight_options(), &clock_);
+  const auto uri = uri_of("/cgi-bin/stuck");
+  const auto leader = manager.lookup(http::Method::kGet, uri, Deadline());
+  ASSERT_EQ(leader.outcome, LookupOutcome::kMissMustExecute);
+  const auto deadline = Deadline::after_ms(&clock_, 100);
+  auto pending = manager.lookup(http::Method::kGet, uri, deadline);
+  ASSERT_EQ(pending.outcome, LookupOutcome::kPending);
+  clock_.advance(from_millis(200));
+  const auto r = manager.await(std::move(pending), deadline);
+  EXPECT_EQ(r.outcome, LookupOutcome::kFailedFast);
+  EXPECT_EQ(r.fail_status, 503);
+  EXPECT_EQ(manager.stats().coalesce_timeouts, 1u);
+  EXPECT_EQ(manager.stats().coalesced_misses, 0u);
+  manager.fail(http::Method::kGet, uri, leader.rule, 503, "cleanup",
+               /*remember=*/false);
 }
 
 TEST_F(SingleFlightTest, WaiterDeadlineExpiresWhileLeaderRuns) {
@@ -312,7 +352,7 @@ TEST_F(SingleFlightTest, WaiterDeadlineExpiresWhileLeaderRuns) {
   // it no matter how the thread is scheduled.
   const auto waiter_deadline = Deadline::after_ms(&clock_, 100);
   std::thread waiter([&manager, &uri, waiter_deadline] {
-    const auto r = manager.lookup(http::Method::kGet, uri, waiter_deadline);
+    const auto r = lookup_and_await(manager, uri, waiter_deadline);
     EXPECT_EQ(r.outcome, LookupOutcome::kFailedFast);
     EXPECT_EQ(r.fail_status, 503);
   });

@@ -507,13 +507,13 @@ TEST(ClusterFrameFuzzTest, HostileOwnerUpdateFramesOverSocketAreHarmless) {
   // …and the group is still alive end to end.
   http::Uri uri;
   ASSERT_TRUE(http::parse_uri("/cgi-bin/alive", &uri));
-  auto lookup = cluster.manager(0).lookup(http::Method::kGet, uri);
+  auto lookup = cluster.manager(0).lookup(http::Method::kGet, uri, Deadline());
   cgi::CgiOutput out;
   out.success = true;
   out.body = "x";
   cluster.manager(0).complete(http::Method::kGet, uri, lookup.rule, out, 1.0);
   EXPECT_EQ(cluster.manager(0)
-                .lookup(http::Method::kGet, uri)
+                .lookup(http::Method::kGet, uri, Deadline())
                 .outcome,
             core::LookupOutcome::kHit);
 }
@@ -526,7 +526,7 @@ TEST(ClusterFrameFuzzTest, RawQueryExchangeOverDataPort) {
 
   http::Uri uri;
   ASSERT_TRUE(http::parse_uri("/cgi-bin/hot", &uri));
-  auto lookup = cluster.manager(0).lookup(http::Method::kGet, uri);
+  auto lookup = cluster.manager(0).lookup(http::Method::kGet, uri, Deadline());
   cgi::CgiOutput out;
   out.success = true;
   out.body = "x";

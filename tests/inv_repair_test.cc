@@ -41,7 +41,7 @@ ManagerOptions open_options() {
 
 void cache_target(CacheManager& manager, const std::string& target) {
   const auto uri = uri_of(target);
-  auto lookup = manager.lookup(http::Method::kGet, uri);
+  auto lookup = manager.lookup(http::Method::kGet, uri, Deadline());
   ASSERT_EQ(lookup.outcome, LookupOutcome::kMissMustExecute) << target;
   manager.complete(http::Method::kGet, uri, lookup.rule, ok_output("data"),
                    1.0);

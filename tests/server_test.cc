@@ -51,7 +51,7 @@ TEST(HandleRequestTest, StaticFileServed) {
   http::Request req;
   req.method = http::Method::kGet;
   ASSERT_TRUE(http::parse_uri("/sub/page.txt", &req.uri));
-  const auto resp = handle_request(req, ctx);
+  const auto resp = handle_request(req, ctx, Deadline());
   EXPECT_EQ(resp.status, 200);
   EXPECT_EQ(resp.body, "plain text content");
   EXPECT_EQ(resp.headers.get("Content-Type"), "text/plain");
@@ -63,7 +63,7 @@ TEST(HandleRequestTest, DirectoryServesIndexHtml) {
   ctx.docroot = make_docroot("hr2");
   http::Request req;
   ASSERT_TRUE(http::parse_uri("/", &req.uri));
-  const auto resp = handle_request(req, ctx);
+  const auto resp = handle_request(req, ctx, Deadline());
   EXPECT_EQ(resp.status, 200);
   EXPECT_EQ(resp.body, "<html>home</html>");
 }
@@ -73,7 +73,7 @@ TEST(HandleRequestTest, MissingFileIs404) {
   ctx.docroot = make_docroot("hr3");
   http::Request req;
   ASSERT_TRUE(http::parse_uri("/nope.html", &req.uri));
-  EXPECT_EQ(handle_request(req, ctx).status, 404);
+  EXPECT_EQ(handle_request(req, ctx, Deadline()).status, 404);
 }
 
 TEST(HandleRequestTest, ConditionalGetReturns304) {
@@ -82,23 +82,23 @@ TEST(HandleRequestTest, ConditionalGetReturns304) {
   http::Request req;
   ASSERT_TRUE(http::parse_uri("/index.html", &req.uri));
 
-  const auto fresh = handle_request(req, ctx);
+  const auto fresh = handle_request(req, ctx, Deadline());
   ASSERT_EQ(fresh.status, 200);
   const auto last_modified = fresh.headers.get("Last-Modified");
   ASSERT_TRUE(last_modified.has_value());
 
   req.headers.set("If-Modified-Since", *last_modified);
-  const auto conditional = handle_request(req, ctx);
+  const auto conditional = handle_request(req, ctx, Deadline());
   EXPECT_EQ(conditional.status, 304);
   EXPECT_TRUE(conditional.body.empty());
 
   // A stale validator gets fresh content.
   req.headers.set("If-Modified-Since", "Sun, 06 Nov 1994 08:49:37 GMT");
-  EXPECT_EQ(handle_request(req, ctx).status, 200);
+  EXPECT_EQ(handle_request(req, ctx, Deadline()).status, 200);
 
   // A malformed validator is ignored (fresh content, not an error).
   req.headers.set("If-Modified-Since", "yesterday-ish");
-  EXPECT_EQ(handle_request(req, ctx).status, 200);
+  EXPECT_EQ(handle_request(req, ctx, Deadline()).status, 200);
 }
 
 TEST(HandleRequestTest, UnsupportedMethodIs405) {
@@ -106,7 +106,7 @@ TEST(HandleRequestTest, UnsupportedMethodIs405) {
   http::Request req;
   req.method = http::Method::kDelete;
   ASSERT_TRUE(http::parse_uri("/x", &req.uri));
-  EXPECT_EQ(handle_request(req, ctx).status, 405);
+  EXPECT_EQ(handle_request(req, ctx, Deadline()).status, 405);
 }
 
 TEST(HandleRequestTest, DynamicDispatchedToRegistry) {
@@ -114,7 +114,7 @@ TEST(HandleRequestTest, DynamicDispatchedToRegistry) {
   ctx.registry = make_registry();
   http::Request req;
   ASSERT_TRUE(http::parse_uri("/cgi-bin/q?x=1", &req.uri));
-  const auto resp = handle_request(req, ctx);
+  const auto resp = handle_request(req, ctx, Deadline());
   EXPECT_EQ(resp.status, 200);
   EXPECT_EQ(resp.headers.get("X-Swala-Cache"), "miss");
 }
@@ -125,7 +125,7 @@ TEST(HandleRequestTest, HeadHasNoBodyButLength) {
   http::Request req;
   req.method = http::Method::kHead;
   ASSERT_TRUE(http::parse_uri("/index.html", &req.uri));
-  const auto resp = handle_request(req, ctx);
+  const auto resp = handle_request(req, ctx, Deadline());
   EXPECT_EQ(resp.status, 200);
   EXPECT_TRUE(resp.body.empty());
   EXPECT_EQ(resp.headers.get("Content-Length"), "17");

