@@ -46,7 +46,8 @@ std::uint64_t run_update_pump(const net::InetAddress& info_addr, double ups,
   if (!conn) return 0;
   net::TcpStream stream = std::move(conn.value());
   (void)stream.set_no_delay(true);
-  if (!cluster::write_message(stream, cluster::Message::hello(1)).is_ok()) {
+  const auto hello = cluster::Message::hello(1, {}, 0);
+  if (!cluster::write_message(stream, hello).is_ok()) {
     return 0;
   }
 

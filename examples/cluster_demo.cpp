@@ -6,6 +6,7 @@
 //   * remote fetch     — node 1 serves the same request from node 0's cache
 // and the weak-consistency artefact:
 //   * false hit        — node 1 asks for an entry node 0 already dropped
+// then a client spreads requests round-robin over the nodes' own ports.
 #include <cstdio>
 #include <thread>
 
@@ -13,7 +14,6 @@
 #include "cgi/scripted.h"
 #include "cluster/local_cluster.h"
 #include "http/client.h"
-#include "server/dispatcher.h"
 #include "server/swala_server.h"
 
 using namespace swala;
@@ -90,33 +90,11 @@ int main() {
       .erase("GET /cgi-bin/map?tile=7");
   timed_get(1, "/cgi-bin/map?tile=7");  // false hit -> re-executes locally
 
-  std::printf("\n-- front-end dispatcher --\n");
-  {
-    std::vector<net::InetAddress> backends;
-    for (const auto& server : servers) backends.push_back(server->address());
-    server::Dispatcher dispatcher(server::DispatcherOptions{}, backends);
-    if (!dispatcher.start().is_ok()) return 1;
-    std::printf("  dispatcher on 127.0.0.1:%u forwarding to %zu nodes\n",
-                dispatcher.port(), backends.size());
-
-    http::HttpClient client(dispatcher.address());
-    for (int i = 0; i < 6; ++i) {
-      const TimeNs start = clock.now();
-      auto resp = client.get("/cgi-bin/map?tile=42");  // cached everywhere
-      const double ms = to_seconds(clock.now() - start) * 1e3;
-      const auto state =
-          resp ? resp.value().headers.get("X-Swala-Cache") : std::nullopt;
-      std::printf("  via dispatcher GET map?tile=42  -> %-10s %6.1f ms\n",
-                  state ? std::string(*state).c_str() : "error", ms);
-    }
-    const auto dstats = dispatcher.stats();
-    std::printf("  dispatcher spread:");
-    for (std::size_t i = 0; i < dstats.per_backend.size(); ++i) {
-      std::printf(" node%zu=%llu", i,
-                  static_cast<unsigned long long>(dstats.per_backend[i]));
-    }
-    std::printf("\n");
-    dispatcher.stop();
+  std::printf("\n-- client round-robin over the nodes --\n");
+  // No front end: the client spreads its requests over the node ports
+  // itself, and every node answers from the shared cooperative cache.
+  for (std::size_t i = 0; i < 2 * kNodes; ++i) {
+    timed_get(i % kNodes, "/cgi-bin/map?tile=42");  // cached everywhere
   }
 
   std::printf("\n-- per-node statistics --\n");

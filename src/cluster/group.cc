@@ -219,14 +219,14 @@ void NodeGroup::probe_dead_peers() {
 Message NodeGroup::make_hello() const {
   // The epoch vector rides every greeting/probe, so the first exchange
   // after a rejoin already exposes any invalidation gap. Before attach()
-  // there is no log yet: plain HELLO.
+  // there is no log yet: an empty vector and membership epoch 0.
   core::CacheManager* manager = manager_.load(std::memory_order_acquire);
-  if (manager == nullptr) return Message::hello(self_);
+  if (manager == nullptr) return Message::hello(self_, {}, 0);
   // The membership epoch rides along too, so divergent views surface on the
   // first exchange (status pages and tests compare them; the kJoin protocol
   // itself converges via kJoinAck).
-  return Message::hello_membership(self_, manager->inv_high_vector(),
-                                   manager->membership_epoch());
+  return Message::hello(self_, manager->inv_high_vector(),
+                        manager->membership_epoch());
 }
 
 void NodeGroup::anti_entropy_round() {
@@ -635,10 +635,6 @@ void NodeGroup::broadcast_erase(core::NodeId owner, const std::string& key,
                                 std::uint64_t version) {
   (void)owner;  // only the owner broadcasts erases for its own entries
   enqueue_broadcast(Message::erase(self_, key, version));
-}
-
-void NodeGroup::broadcast_invalidate(const std::string& pattern) {
-  enqueue_broadcast(Message::invalidate(self_, pattern));
 }
 
 void NodeGroup::broadcast_invalidate(const std::string& pattern,

@@ -103,7 +103,7 @@ struct GroupOptions {
   /// each live peer a kDigest (high-water invalidation epochs + directory
   /// digest). A receiver that detects an epoch gap pulls the missed
   /// invalidations (kInvSync); a digest mismatch on two consecutive rounds
-  /// triggers a directory resync. 0 disables anti-entropy (legacy
+  /// triggers a directory resync. 0 disables anti-entropy (the paper's
   /// fire-and-forget behaviour; node config defaults it on at 1000 ms).
   int anti_entropy_interval_ms = 0;
   /// Optional deterministic fault hook applied to every outgoing message
@@ -217,7 +217,6 @@ class NodeGroup final : public core::CooperationBus {
   Result<core::CachedResult> fetch_remote(core::NodeId owner,
                                           const std::string& key,
                                           int budget_ms) override;
-  void broadcast_invalidate(const std::string& pattern) override;
   void broadcast_invalidate(const std::string& pattern,
                             std::uint64_t epoch) override;
   // Partitioned mode: unicast directory updates ride the info channel (and
@@ -353,8 +352,8 @@ class NodeGroup final : public core::CooperationBus {
   /// Re-announces every locally cached entry to one peer (resync).
   void push_state_to(PeerLink* link);
 
-  /// A HELLO carrying this node's invalidation high-water epochs (plain
-  /// HELLO before a manager is attached).
+  /// A HELLO carrying this node's invalidation high-water epochs and
+  /// membership epoch (empty vector and 0 before a manager is attached).
   Message make_hello() const;
 
   /// One anti-entropy round: enqueue a tailored kDigest to every live peer.

@@ -150,10 +150,13 @@ bool read_epochs(Reader* r, std::string_view payload,
 
 }  // namespace
 
-Message Message::hello(core::NodeId sender) {
+Message Message::hello(core::NodeId sender, core::EpochVector epochs,
+                       std::uint64_t membership_epoch) {
   Message m;
   m.type = MsgType::kHello;
   m.sender = sender;
+  m.epochs = std::move(epochs);
+  m.membership_epoch = membership_epoch;
   return m;
 }
 
@@ -217,15 +220,6 @@ Message Message::sync_req(core::NodeId sender) {
   Message m;
   m.type = MsgType::kSyncReq;
   m.sender = sender;
-  return m;
-}
-
-Message Message::hello_with_epochs(core::NodeId sender,
-                                   core::EpochVector epochs) {
-  Message m;
-  m.type = MsgType::kHello;
-  m.sender = sender;
-  m.epochs = std::move(epochs);
   return m;
 }
 
@@ -315,17 +309,6 @@ Message Message::make_batch(core::NodeId sender,
   return m;
 }
 
-Message Message::hello_membership(core::NodeId sender,
-                                  core::EpochVector epochs,
-                                  std::uint64_t membership_epoch) {
-  Message m;
-  m.type = MsgType::kHello;
-  m.sender = sender;
-  m.epochs = std::move(epochs);
-  m.membership_epoch = membership_epoch;
-  return m;
-}
-
 Message Message::join(core::NodeId sender) {
   Message m;
   m.type = MsgType::kJoin;
@@ -370,15 +353,9 @@ std::string encode_message(const Message& msg) {
   put_u32(&payload, msg.sender);
   switch (msg.type) {
     case MsgType::kHello:
-      // Optional tails, in order: epoch vector (PR8), then membership epoch
-      // (PR10). An empty vector with membership epoch 0 keeps the legacy
-      // zero-payload HELLO byte-identical; a nonzero membership epoch
-      // forces the vector tail (possibly a zero count) so the decoder can
-      // delimit the two.
-      if (!msg.epochs.empty() || msg.membership_epoch != 0) {
-        put_epochs(&payload, msg.epochs);
-      }
-      if (msg.membership_epoch != 0) put_u64(&payload, msg.membership_epoch);
+      put_u8(&payload, kProtocolVersion);
+      put_epochs(&payload, msg.epochs);
+      put_u64(&payload, msg.membership_epoch);
       break;
     case MsgType::kSyncReq:
       break;
@@ -400,8 +377,7 @@ std::string encode_message(const Message& msg) {
       break;
     case MsgType::kInvalidate:
       put_string(&payload, msg.key);
-      // Optional epoch tail; epoch 0 keeps the legacy frame byte-identical.
-      if (msg.epoch != 0) put_u64(&payload, msg.epoch);
+      put_u64(&payload, msg.epoch);
       break;
     case MsgType::kFetchResp:
       put_u8(&payload, msg.found ? 1 : 0);
@@ -478,12 +454,18 @@ Result<Message> decode_message(std::string_view payload) {
   msg.type = static_cast<MsgType>(type);
   bool ok = true;
   switch (msg.type) {
-    case MsgType::kHello:
-      // Optional tails: epoch vector, then membership epoch (both absent on
-      // legacy frames).
-      if (!r.done()) ok = read_epochs(&r, payload, &msg.epochs);
-      if (ok && !r.done()) ok = r.u64(&msg.membership_epoch);
+    case MsgType::kHello: {
+      std::uint8_t version = 0;
+      if (r.u8(&version) && version != kProtocolVersion) {
+        return Status(StatusCode::kInvalidArgument,
+                      "unsupported protocol version " +
+                          std::to_string(version) + " (expected " +
+                          std::to_string(kProtocolVersion) + ")");
+      }
+      ok = read_epochs(&r, payload, &msg.epochs) &&
+           r.u64(&msg.membership_epoch);
       break;
+    }
     case MsgType::kSyncReq:
       break;
     case MsgType::kInsert:
@@ -502,9 +484,8 @@ Result<Message> decode_message(std::string_view payload) {
       ok = r.str(&msg.key);
       break;
     case MsgType::kInvalidate:
-      ok = r.str(&msg.key);
-      // Optional epoch tail (absent on legacy frames; absent means 0).
-      if (ok && !r.done()) ok = r.u64(&msg.epoch);
+      // Origin epochs start at 1 (InvalidationLog::originate).
+      ok = r.str(&msg.key) && r.u64(&msg.epoch) && msg.epoch != 0;
       break;
     case MsgType::kFetchResp: {
       std::uint8_t found = 0;
@@ -579,7 +560,8 @@ Result<Message> decode_message(std::string_view payload) {
       if (ok && count > payload.size() / 16) ok = false;
       for (std::uint32_t i = 0; ok && i < count; ++i) {
         core::InvalidationRecord rec;
-        ok = r.u32(&rec.origin) && r.u64(&rec.epoch) && r.str(&rec.pattern);
+        ok = r.u32(&rec.origin) && r.u64(&rec.epoch) && rec.epoch != 0 &&
+             r.str(&rec.pattern);
         if (ok) msg.inv_entries.push_back(std::move(rec));
       }
       break;

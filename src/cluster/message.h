@@ -18,8 +18,13 @@
 
 namespace swala::cluster {
 
+/// Carried by every HELLO; a peer greeting with any other version is
+/// refused (the frame fails to decode and the connection drops).
+constexpr std::uint8_t kProtocolVersion = 1;
+
 enum class MsgType : std::uint8_t {
-  kHello = 1,       ///< first message on an info connection: sender id
+  kHello = 1,       ///< first message on an info connection: sender id,
+                    ///< protocol version, epochs, membership epoch
   kInsert = 2,      ///< directory update: sender cached an entry
   kErase = 3,       ///< directory update: sender dropped an entry
   kFetchReq = 4,    ///< data request: give me this entry
@@ -58,8 +63,8 @@ struct Message {
   std::vector<Message> batch;  // kBatch: inner messages, applied in order
 
   // Anti-entropy fields (PR8).
-  std::uint64_t epoch = 0;     // kInvalidate: origin epoch (0 = unepoched)
-  core::EpochVector epochs;    // kHello (optional tail), kDigest: high-water
+  std::uint64_t epoch = 0;     // kInvalidate: origin epoch (1-based)
+  core::EpochVector epochs;    // kHello, kDigest: high-water
                                // vector; kInvSync: requester floors
   bool has_digest = false;     // kDigest: directory digest present
   std::uint64_t digest = 0;    // kDigest: xor digest of directory versions
@@ -67,13 +72,15 @@ struct Message {
   bool truncated = false;      // kInvSyncResp: log evicted needed records
 
   // Dynamic membership fields (PR10).
-  std::uint64_t membership_epoch = 0;  // kHello (optional tail, 0 = absent),
-                                       // kJoinAck, kDecommission
+  std::uint64_t membership_epoch = 0;  // kHello, kJoinAck, kDecommission
   std::vector<core::NodeId> members;   // kJoinAck: active member ids
   bool handoff = false;  // kInsert: optional body tail present (state
                          // handoff; the receiver adopts the entry)
 
-  static Message hello(core::NodeId sender);
+  /// Greeting and dead-peer probe: the sender's invalidation high-water
+  /// vector (empty before a manager is attached) and membership epoch.
+  static Message hello(core::NodeId sender, core::EpochVector epochs,
+                       std::uint64_t membership_epoch);
   static Message insert(core::NodeId sender, const core::EntryMeta& meta);
   static Message erase(core::NodeId sender, std::string key,
                        std::uint64_t version);
@@ -82,14 +89,10 @@ struct Message {
                                   const core::EntryMeta& meta,
                                   std::string data);
   static Message fetch_resp_miss(core::NodeId sender);
-  /// `epoch` 0 keeps the legacy frame byte-identical (unepoched).
+  /// `epoch` is the origin's stamp; decoding rejects epoch 0.
   static Message invalidate(core::NodeId sender, std::string pattern,
-                            std::uint64_t epoch = 0);
+                            std::uint64_t epoch);
   static Message sync_req(core::NodeId sender);
-  /// HELLO carrying the sender's high-water epoch vector (empty vector
-  /// encodes as a legacy plain HELLO).
-  static Message hello_with_epochs(core::NodeId sender,
-                                   core::EpochVector epochs);
   /// Anti-entropy round: high-water epochs + optional directory digest.
   static Message make_digest(core::NodeId sender, core::EpochVector epochs,
                              bool has_digest, std::uint64_t digest);
@@ -111,12 +114,6 @@ struct Message {
   static Message make_batch(core::NodeId sender, std::vector<Message> messages);
 
   // ---- dynamic membership (PR10) ----
-  /// HELLO carrying both the invalidation epoch vector and the sender's
-  /// membership epoch. `membership_epoch` 0 falls back to the PR8 frame
-  /// (and an empty vector on top of that to the legacy plain HELLO).
-  static Message hello_membership(core::NodeId sender,
-                                  core::EpochVector epochs,
-                                  std::uint64_t membership_epoch);
   /// Data-channel request: "admit me to the cluster" (answered by kJoinAck).
   static Message join(core::NodeId sender);
   /// Admission answer: the responder's membership epoch + active member ids.

@@ -17,7 +17,6 @@ InvalidationRecord InvalidationLog::originate(NodeId origin,
 }
 
 bool InvalidationLog::admit(const InvalidationRecord& record) {
-  if (record.epoch == 0) return true;  // legacy/unepoched: apply, don't log
   std::lock_guard<std::mutex> lock(mutex_);
   return admit_locked(record);
 }

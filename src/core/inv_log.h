@@ -16,9 +16,8 @@
 // Per-origin bookkeeping keeps an exact duplicate filter without unbounded
 // memory: `floor` is the largest epoch E such that every epoch <= E has
 // been applied; epochs above the floor sit in a (normally tiny) set until
-// the hole closes. Epoch 0 marks a legacy/unepoched invalidation: it is
-// always applied and never logged, which keeps old frames working
-// unchanged.
+// the hole closes. Epochs start at 1, so epoch 0 is always below the floor
+// and never admitted.
 #pragma once
 
 #include <cstdint>
@@ -58,7 +57,6 @@ class InvalidationLog {
   /// Exact duplicate filter for a peer's (or replayed) invalidation.
   /// Returns true when the record is new — the caller must apply it — and
   /// logs it; false when it was already applied (replayed frame: no-op).
-  /// Records with epoch 0 are legacy/unepoched: always "new", never logged.
   bool admit(const InvalidationRecord& record);
 
   /// Highest epoch applied per origin (what HELLO/digest advertises).

@@ -961,7 +961,7 @@ std::size_t CacheManager::apply_invalidation(const std::string& pattern,
     // Locally originated: stamp the next epoch inside the commit section so
     // the epoch order matches the store-mutation order.
     stamped_epoch = inv_log_.originate(self_, pattern).epoch;
-  } else if (epoch != 0) {
+  } else {
     InvalidationRecord rec;
     rec.origin = origin;
     rec.epoch = epoch;
@@ -1001,7 +1001,7 @@ std::size_t CacheManager::apply_inv_sync(
   {
     std::lock_guard<std::mutex> commit(commit_mutex_);
     for (const auto& rec : entries) {
-      if (rec.epoch == 0 || !inv_log_.admit(rec)) continue;  // replay: no-op
+      if (!inv_log_.admit(rec)) continue;  // replay: no-op
       const auto dropped = store_->erase_matching(rec.pattern);
       directory_->erase_matching(rec.pattern);
       // Announce the erases: survivors' peer tables were re-polluted by the

@@ -80,8 +80,8 @@ class CooperationBus {
 
   /// Epoch-stamped variant (anti-entropy repair layer): the frame carries
   /// the origin's monotonic epoch so peers can detect and repair a lost
-  /// invalidation. Default forwards to the unepoched overload so legacy
-  /// buses keep working.
+  /// invalidation. This is the one the manager calls; the default forwards
+  /// to the pattern-only overload for buses that ignore epochs.
   virtual void broadcast_invalidate(const std::string& pattern,
                                     std::uint64_t epoch) {
     (void)epoch;
@@ -403,8 +403,7 @@ class CacheManager {
 
   /// Applies a peer's invalidation broadcast (no re-broadcast). The
   /// (origin, epoch) pair feeds the replay log's exact duplicate filter, so
-  /// a replayed frame is a no-op. Epoch 0 = legacy/unepoched (always
-  /// applied, never logged).
+  /// a replayed frame (or epoch 0, which no origin stamps) is a no-op.
   std::size_t on_peer_invalidate(const std::string& pattern, NodeId origin,
                                  std::uint64_t epoch);
 

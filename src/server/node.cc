@@ -48,8 +48,7 @@ constexpr std::pair<std::string_view, std::string_view> kKnownKeys[] = {
     {"server",
      "host port threads io_model timer_resolution_ms docroot cgi_dir admin "
      "access_log listen_backlog max_connections shed_resume_percent "
-     "retry_after request_timeout_ms dispatch_queue_depth max_concurrent_cgi "
-     "drain_timeout_ms"},
+     "retry_after request_timeout_ms max_concurrent_cgi drain_timeout_ms"},
     {"cache",
      "enabled max_entries max_bytes hot_bytes policy disk_dir store "
      "volume_bytes segment_bytes write_buffer_bytes flush_interval_ms "
@@ -350,8 +349,6 @@ Result<std::unique_ptr<SwalaNode>> SwalaNode::from_config(
   // timeout); 0 disables. Covers parse → lookup → fetch → CGI → write.
   so.request_timeout_ms =
       static_cast<int>(config.get_int("server", "request_timeout_ms", 30000));
-  so.dispatch_queue_depth = static_cast<std::size_t>(
-      config.get_int("server", "dispatch_queue_depth", 1024));
   so.max_concurrent_cgi = static_cast<std::size_t>(
       config.get_int("server", "max_concurrent_cgi", 0));
   so.drain_timeout_ms =

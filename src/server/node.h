@@ -23,7 +23,6 @@
 //   retry_after = 1        ; Retry-After seconds on 503 sheds
 //   request_timeout_ms = 30000  ; per-request budget; 0 = unlimited
 //   max_concurrent_cgi = 0 ; cap concurrent CGI forks; 0 = unlimited
-//   dispatch_queue_depth = 1024 ; acceptor->worker queue (full = shed)
 //   drain_timeout_ms = 5000     ; SIGTERM drain grace period
 //
 //   [cache]

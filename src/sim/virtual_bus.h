@@ -71,9 +71,6 @@ class VirtualBus final : public core::CooperationBus {
   void broadcast_insert(const core::EntryMeta& meta) override;
   void broadcast_erase(core::NodeId owner, const std::string& key,
                        std::uint64_t version) override;
-  void broadcast_invalidate(const std::string& pattern) override {
-    broadcast_invalidate(pattern, 0);
-  }
   void broadcast_invalidate(const std::string& pattern,
                             std::uint64_t epoch) override;
   void send_owner_insert(core::NodeId ring_owner,

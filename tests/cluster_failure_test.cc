@@ -360,6 +360,53 @@ TEST(ClusterFailureTest, TruncatedFrameThenDisconnect) {
   }));
 }
 
+TEST(ClusterFailureTest, WrongVersionHelloDropsTheConnection) {
+  LocalCluster cluster(2, open_options);
+  // Writes `hello` then an INSERT from node 1 on a fresh info connection,
+  // half-closes it, and returns once node 0 has closed its end. The info
+  // channel carries nothing back, so that close means the reader is done:
+  // it either rejected the stream or applied every frame up to our EOF.
+  const auto greet_then_insert = [&](const std::string& hello,
+                                     const std::string& key) {
+    core::EntryMeta meta;
+    meta.key = key;
+    meta.owner = 1;
+    meta.size_bytes = 1;
+    meta.version = 1;
+    auto conn = net::TcpStream::connect(
+        {"127.0.0.1", cluster.group(0).info_port()}, 1000);
+    ASSERT_TRUE(conn.is_ok());
+    net::TcpStream& stream = conn.value();
+    ASSERT_TRUE(
+        stream.write_all(hello + encode_message(Message::insert(1, meta)))
+            .is_ok());
+    ASSERT_TRUE(stream.shutdown_write().is_ok());
+    ASSERT_TRUE(stream.set_recv_timeout(5000).is_ok());
+    char byte = 0;
+    const auto got = stream.read_some(&byte, 1);
+    // EOF, or a reset when node 0 closed with our INSERT still unread.
+    EXPECT_TRUE(got.is_ok() ? got.value() == 0
+                            : got.status().code() != StatusCode::kTimeout);
+  };
+  const auto& directory = cluster.manager(0).directory();
+
+  std::string wrong = encode_message(Message::hello(1, {}, 0));
+  wrong[4 + 5] = static_cast<char>(kProtocolVersion + 1);  // the version byte
+  greet_then_insert(wrong, "GET /cgi-bin/after-wrong-version");
+  EXPECT_FALSE(directory.lookup("GET /cgi-bin/after-wrong-version"));
+
+  // Control: the same INSERT behind a current HELLO is applied.
+  greet_then_insert(encode_message(Message::hello(1, {}, 0)),
+                    "GET /cgi-bin/after-good-hello");
+  EXPECT_TRUE(directory.lookup("GET /cgi-bin/after-good-hello"));
+
+  // The real peer link is untouched: later updates still arrive.
+  cache_on(cluster.manager(1), "/cgi-bin/after-version-reject");
+  EXPECT_TRUE(eventually([&] {
+    return directory.lookup("GET /cgi-bin/after-version-reject").has_value();
+  }));
+}
+
 TEST(ClusterFailureTest, GarbageOnDataPortGetsNoCrash) {
   LocalCluster cluster(2, open_options);
   auto conn = net::TcpStream::connect(

@@ -54,7 +54,7 @@ Message roundtrip(const Message& msg) {
 }
 
 TEST(MessageTest, HelloRoundtrip) {
-  const Message out = roundtrip(Message::hello(5));
+  const Message out = roundtrip(Message::hello(5, {}, 0));
   EXPECT_EQ(out.type, MsgType::kHello);
   EXPECT_EQ(out.sender, 5u);
 }
@@ -143,7 +143,8 @@ TEST(FramingTest, MessagesOverTcp) {
   std::thread sender([&] {
     auto stream = net::TcpStream::connect(addr, 2000);
     ASSERT_TRUE(stream.is_ok());
-    ASSERT_TRUE(write_message(stream.value(), Message::hello(7)).is_ok());
+    ASSERT_TRUE(
+        write_message(stream.value(), Message::hello(7, {}, 0)).is_ok());
     ASSERT_TRUE(
         write_message(stream.value(), Message::insert(7, sample_meta())).is_ok());
     ASSERT_TRUE(

@@ -1,17 +1,13 @@
 // Tests for the invalidation extensions (§4.2 future work): pattern-based
 // application-driven invalidation (local, cluster-wide broadcast, peer
-// application) and the source-file DependencyMonitor, including over a real
-// loopback cluster.
+// application), including over a real loopback cluster.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <thread>
 
 #include "cluster/local_cluster.h"
 #include "common/clock.h"
 #include "core/manager.h"
-#include "core/monitor.h"
 #include "recording_bus.h"
 
 namespace swala::core {
@@ -130,70 +126,6 @@ TEST(ManagerInvalidationTest, PeerInvalidateDoesNotRebroadcast) {
   EXPECT_EQ(bus.invalidations.size(), 0u) << "peer application must not echo";
   manager.invalidate("GET /cgi-bin/z*");
   EXPECT_EQ(bus.invalidations.size(), 1u);
-}
-
-// ---- dependency monitor ----
-
-class MonitorTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    path_ = "/tmp/swala_monitor_test_source.dat";
-    write_file("version 1");
-  }
-  void TearDown() override { ::remove(path_.c_str()); }
-
-  void write_file(const std::string& content) {
-    std::ofstream out(path_);
-    out << content;
-  }
-
-  // Note: change detection compares size as well as mtime, so same-second
-  // rewrites with different content lengths register reliably.
-  std::string path_;
-};
-
-TEST_F(MonitorTest, InvalidatesWhenFileChanges) {
-  ManualClock clock(0);
-  CacheManager manager(0, 1, open_options(), &clock);
-  cache_target(manager, "/cgi-bin/report?q=1");
-  cache_target(manager, "/cgi-bin/report?q=2");
-
-  DependencyMonitor monitor(&manager);
-  monitor.watch(path_, "GET /cgi-bin/report*");
-  EXPECT_EQ(monitor.watch_count(), 1u);
-
-  EXPECT_EQ(monitor.poll(), 0u) << "unchanged file must not invalidate";
-
-  write_file("version 2 with different size");
-  EXPECT_EQ(monitor.poll(), 2u);
-  EXPECT_EQ(manager.lookup(http::Method::kGet, uri_of("/cgi-bin/report?q=1"),
-                           Deadline())
-                .outcome,
-            LookupOutcome::kMissMustExecute);
-  EXPECT_EQ(monitor.poll(), 0u) << "steady state after the change";
-}
-
-TEST_F(MonitorTest, FileDeletionAndCreationCount) {
-  ManualClock clock(0);
-  CacheManager manager(0, 1, open_options(), &clock);
-  cache_target(manager, "/cgi-bin/r?q=1");
-  DependencyMonitor monitor(&manager);
-  monitor.watch(path_, "GET /cgi-bin/r*");
-
-  ::remove(path_.c_str());
-  EXPECT_EQ(monitor.poll(), 1u);
-
-  cache_target(manager, "/cgi-bin/r?q=1");
-  write_file("reborn");
-  EXPECT_EQ(monitor.poll(), 1u);
-}
-
-TEST_F(MonitorTest, MissingFileBaselineIsValid) {
-  ManualClock clock(0);
-  CacheManager manager(0, 1, open_options(), &clock);
-  DependencyMonitor monitor(&manager);
-  monitor.watch("/tmp/swala_never_existed.dat", "GET /cgi-bin/*");
-  EXPECT_EQ(monitor.poll(), 0u);
 }
 
 // ---- cluster-wide over real TCP ----

@@ -174,14 +174,14 @@ std::vector<std::string> frame_corpus() {
   meta.version = 7;
 
   std::vector<std::string> corpus;
-  corpus.push_back(encode_message(Message::hello(1)));
+  corpus.push_back(encode_message(Message::hello(1, {{0, 3}, {2, 9}}, 2)));
   corpus.push_back(encode_message(Message::insert(2, meta)));
   corpus.push_back(encode_message(Message::erase(3, meta.key, 7)));
   corpus.push_back(encode_message(Message::fetch_req(1, meta.key)));
   corpus.push_back(
       encode_message(Message::fetch_resp_found(2, meta, "payload bytes")));
   corpus.push_back(encode_message(Message::fetch_resp_miss(2)));
-  corpus.push_back(encode_message(Message::invalidate(0, "/cgi-bin/*")));
+  corpus.push_back(encode_message(Message::invalidate(0, "/cgi-bin/*", 5)));
   corpus.push_back(encode_message(Message::sync_req(4)));
   corpus.push_back(encode_message(Message::owner_insert(5, meta)));
   corpus.push_back(encode_message(Message::owner_erase(5, 2, meta.key, 7)));
@@ -222,6 +222,11 @@ TEST(ClusterFrameFuzzTest, DecodeRandomPayloadsNeverCrash) {
 
 TEST(ClusterFrameFuzzTest, DecodeMutatedValidPayloadsNeverCrash) {
   const auto corpus = frame_corpus();
+  // Every seed must be a frame the decoder accepts, or mutating it only
+  // re-tests the rejection path.
+  for (const auto& frame : corpus) {
+    ASSERT_TRUE(decode_message(std::string_view(frame).substr(4)).is_ok());
+  }
   Rng rng(0xBADF00D);
   for (int round = 0; round < 2000; ++round) {
     // Payload = frame minus the 4-byte length prefix.
@@ -339,7 +344,7 @@ TEST(ClusterFrameFuzzTest, MixedBatchPreservesOrderAndContents) {
   std::vector<Message> inner;
   inner.push_back(Message::insert(2, batch_meta()));
   inner.push_back(Message::erase(2, batch_meta().key, 4));
-  inner.push_back(Message::invalidate(2, "/cgi-bin/*"));
+  inner.push_back(Message::invalidate(2, "/cgi-bin/*", 1));
   const auto frame = encode_message(Message::make_batch(2, std::move(inner)));
   auto decoded = decode_message(std::string_view(frame).substr(4));
   ASSERT_TRUE(decoded.is_ok()) << decoded.status().to_string();
@@ -351,6 +356,7 @@ TEST(ClusterFrameFuzzTest, MixedBatchPreservesOrderAndContents) {
   EXPECT_EQ(batch[1].version, 4u);
   EXPECT_EQ(batch[2].type, MsgType::kInvalidate);
   EXPECT_EQ(batch[2].key, "/cgi-bin/*");
+  EXPECT_EQ(batch[2].epoch, 1u);
   // A batch that decodes must re-encode identically (same invariant the
   // mutation fuzzer relies on).
   EXPECT_EQ(encode_message(decoded.value()), frame);

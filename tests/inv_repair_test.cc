@@ -1,8 +1,8 @@
 // Tests for the anti-entropy consistency-repair layer's building blocks:
-// the epoch-stamped InvalidationLog, the kHello/kInvalidate epoch tails and
-// the kDigest/kInvSync/kInvSyncResp wire messages (including legacy byte
-// compatibility), and the CacheManager repair API (replay idempotency,
-// gap pull/apply, truncation fallback, directory digests).
+// the epoch-stamped InvalidationLog, the versioned kHello and epoch-stamped
+// kInvalidate frames, the kDigest/kInvSync/kInvSyncResp wire messages (and
+// the frames decoding must reject), and the CacheManager repair API (replay
+// idempotency, gap pull/apply, truncation fallback, directory digests).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -84,12 +84,12 @@ TEST(InvalidationLogTest, OutOfOrderAdmitClosesTheHole) {
   EXPECT_FALSE(log.admit({2, 1, "GET /a*"}));  // below floor = duplicate
 }
 
-TEST(InvalidationLogTest, EpochZeroIsLegacyAlwaysNewNeverLogged) {
+TEST(InvalidationLogTest, EpochZeroIsNeverAdmitted) {
+  // No origin stamps epoch 0, so it sits below every floor: a no-op.
   InvalidationLog log;
-  EXPECT_TRUE(log.admit({2, 0, "GET /legacy*"}));
-  EXPECT_TRUE(log.admit({2, 0, "GET /legacy*"}));
+  EXPECT_FALSE(log.admit({2, 0, "GET /x*"}));
   EXPECT_EQ(log.size(), 0u);
-  EXPECT_TRUE(log.high_vector().empty());
+  EXPECT_EQ(vec_get(log.high_vector(), 2), 0u);
 }
 
 TEST(InvalidationLogTest, BehindDetectsGapsAgainstPeerHigh) {
@@ -142,7 +142,11 @@ Message roundtrip(const Message& msg) {
   return decoded.value();
 }
 
-// ---- wire protocol: epoch tails + new repair messages ----
+std::string payload_of(const Message& msg) {
+  return encode_message(msg).substr(4);
+}
+
+// ---- wire protocol: versioned HELLO, epoch-stamped INVALIDATE, repair ----
 
 TEST(InvRepairMessageTest, InvalidateEpochRoundtrip) {
   const Message out = roundtrip(Message::invalidate(4, "GET /cgi-bin/r*", 7));
@@ -152,28 +156,62 @@ TEST(InvRepairMessageTest, InvalidateEpochRoundtrip) {
   EXPECT_EQ(out.epoch, 7u);
 }
 
-TEST(InvRepairMessageTest, LegacyInvalidateStaysByteIdentical) {
-  // Epoch 0 must not change the frame: type + sender + (len, pattern).
-  const std::string pattern = "GET /cgi-bin/r*";
-  const std::string frame = encode_message(Message::invalidate(4, pattern, 0));
-  EXPECT_EQ(frame.size(), 4u + 1u + 4u + 4u + pattern.size());
-  const Message out = roundtrip(Message::invalidate(4, pattern, 0));
-  EXPECT_EQ(out.epoch, 0u);
-  EXPECT_EQ(out.key, pattern);
-}
-
-TEST(InvRepairMessageTest, HelloEpochsRoundtripAndLegacySize) {
-  const std::string plain = encode_message(Message::hello(3));
-  EXPECT_EQ(plain.size(), 4u + 1u + 4u) << "plain HELLO must stay minimal";
-
+TEST(InvRepairMessageTest, HelloCarriesVersionEpochsAndMembership) {
   const core::EpochVector epochs = {{0, 5}, {2, 19}};
-  const Message out = roundtrip(Message::hello_with_epochs(3, epochs));
+  const std::string payload = payload_of(Message::hello(3, epochs, 4));
+  // type + sender, then the version byte leads the fixed fields.
+  ASSERT_GT(payload.size(), 5u);
+  EXPECT_EQ(static_cast<std::uint8_t>(payload[5]), kProtocolVersion);
+  EXPECT_EQ(payload.size(), 5u + 1u + 4u + 2u * 12u + 8u);
+
+  const Message out = roundtrip(Message::hello(3, epochs, 4));
   EXPECT_EQ(out.type, MsgType::kHello);
   EXPECT_EQ(out.sender, 3u);
   EXPECT_EQ(out.epochs, epochs);
+  EXPECT_EQ(out.membership_epoch, 4u);
 
-  const Message legacy = roundtrip(Message::hello(3));
-  EXPECT_TRUE(legacy.epochs.empty());
+  // Before attach() a node greets with no epochs: same fixed layout.
+  const Message bare = roundtrip(Message::hello(3, {}, 0));
+  EXPECT_TRUE(bare.epochs.empty());
+  EXPECT_EQ(bare.membership_epoch, 0u);
+}
+
+TEST(InvRepairMessageTest, DecodeRejectsUnversionedAndUnstampedFrames) {
+  // A HELLO from another protocol version, named in the error.
+  std::string wrong = payload_of(Message::hello(3, {{0, 5}}, 1));
+  wrong[5] = static_cast<char>(kProtocolVersion + 1);
+  const auto bad_version = decode_message(wrong);
+  ASSERT_FALSE(bad_version.is_ok());
+  EXPECT_NE(bad_version.status().message().find(
+                "version " + std::to_string(kProtocolVersion + 1)),
+            std::string::npos)
+      << bad_version.status().to_string();
+
+  // The bare 9-byte HELLO frame: type + sender and nothing else.
+  const std::string bare_hello("\x01\x03\0\0\0", 5);
+  EXPECT_FALSE(decode_message(bare_hello).is_ok());
+
+  // A HELLO with the epoch vector but neither version nor membership epoch.
+  std::string unversioned = bare_hello;
+  unversioned.append("\x01\0\0\0"                 // one pair
+                     "\0\0\0\0"                   // origin 0
+                     "\x05\0\0\0\0\0\0\0",    // epoch 5
+                     16);
+  EXPECT_FALSE(decode_message(unversioned).is_ok());
+
+  // kInvalidate without its epoch, and with epoch 0.
+  const std::string stamped = payload_of(Message::invalidate(4, "GET /r*", 7));
+  EXPECT_FALSE(decode_message(stamped.substr(0, stamped.size() - 8)).is_ok());
+  EXPECT_FALSE(
+      decode_message(payload_of(Message::invalidate(4, "GET /r*", 0))).is_ok());
+
+  // A kInvSyncResp carrying an epoch-0 record.
+  EXPECT_FALSE(decode_message(payload_of(Message::inv_sync_resp(
+                                  0, {{1, 0, "GET /x*"}}, false)))
+                   .is_ok());
+  EXPECT_FALSE(decode_message(payload_of(Message::make_batch(
+                                  2, {Message::invalidate(2, "GET /r*", 0)})))
+                   .is_ok());
 }
 
 TEST(InvRepairMessageTest, DigestRoundtrip) {
@@ -261,8 +299,9 @@ TEST(ManagerEpochTest, ReplayedPeerInvalidateIsIdempotent) {
   // ... and a replay of the SAME (origin, epoch) frame must not kill it.
   EXPECT_EQ(manager.on_peer_invalidate("GET /cgi-bin/r*", 0, 1), 0u);
   EXPECT_TRUE(manager.store().contains("GET /cgi-bin/r?q=1"));
-  // A legacy (epoch 0) frame has no replay identity: it always applies.
-  EXPECT_EQ(manager.on_peer_invalidate("GET /cgi-bin/r*", 0, 0), 1u);
+  // Epoch 0 is stamped by no origin: a no-op, like a replay.
+  EXPECT_EQ(manager.on_peer_invalidate("GET /cgi-bin/r*", 0, 0), 0u);
+  EXPECT_TRUE(manager.store().contains("GET /cgi-bin/r?q=1"));
 }
 
 TEST(ManagerEpochTest, GapPullAppliesMissedInvalidationsOnce) {

@@ -410,16 +410,22 @@ TEST(SwalaNodeTest, BadConfigRejected) {
 }
 
 TEST(SwalaNodeTest, UnknownKeyRejectedByName) {
-  // A typo must not silently run on the default (here: replicated mode).
-  auto cfg = Config::parse(
-      "[server]\nport = 0\n[cluster]\ndirectory_mod = partitioned\n");
-  ASSERT_TRUE(cfg.is_ok());
-  auto node = SwalaNode::from_config(cfg.value(), make_registry());
-  ASSERT_FALSE(node.is_ok());
-  EXPECT_EQ(node.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(node.status().message().find("[cluster] directory_mod"),
-            std::string::npos)
-      << node.status().to_string();
+  const std::pair<std::string, std::string> cases[] = {
+      // A typo must not silently run on the default (here: replicated mode).
+      {"[cluster]\ndirectory_mod = partitioned\n", "[cluster] directory_mod"},
+      // Not a swalad key: it sizes the acceptor queue swalad never builds.
+      {"[server]\ndispatch_queue_depth = 1024\n",
+       "[server] dispatch_queue_depth"},
+  };
+  for (const auto& [text, name] : cases) {
+    auto cfg = Config::parse("[server]\nport = 0\n" + text);
+    ASSERT_TRUE(cfg.is_ok());
+    auto node = SwalaNode::from_config(cfg.value(), make_registry());
+    ASSERT_FALSE(node.is_ok()) << name;
+    EXPECT_EQ(node.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(node.status().message().find(name), std::string::npos)
+        << node.status().to_string();
+  }
 }
 
 TEST(SwalaNodeTest, ExampleConfigLoads) {
