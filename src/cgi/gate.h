@@ -41,43 +41,38 @@ class ExecGate {
   Status acquire(const Deadline& deadline) {
     if (max_concurrent_ == 0) return Status::ok();
     std::unique_lock<std::mutex> lock(mutex_);
-    if (active_ < max_concurrent_) {
-      ++active_;
+    if (stats_.active < max_concurrent_) {
+      ++stats_.active;
       return Status::ok();
     }
-    ++queue_waits_;
-    ++waiting_;
-    while (active_ >= max_concurrent_) {
+    ++stats_.queue_waits;
+    ++stats_.waiting;
+    while (stats_.active >= max_concurrent_) {
       if (deadline.expired()) {
-        --waiting_;
-        ++queue_timeouts_;
+        --stats_.waiting;
+        ++stats_.queue_timeouts;
         return Status(StatusCode::kTimeout, "CGI concurrency gate full");
       }
       const int slice_ms =
           deadline.unlimited() ? 50 : std::min(50, deadline.budget_ms(50));
       slot_free_.wait_for(lock, std::chrono::milliseconds(slice_ms));
     }
-    --waiting_;
-    ++active_;
+    --stats_.waiting;
+    ++stats_.active;
     return Status::ok();
   }
 
   void release() {
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      if (active_ > 0) --active_;
+      if (stats_.active > 0) --stats_.active;
     }
     slot_free_.notify_one();
   }
 
   ExecGateStats stats() const {
     std::lock_guard<std::mutex> lock(mutex_);
-    ExecGateStats s;
-    s.queue_waits = queue_waits_;
-    s.queue_timeouts = queue_timeouts_;
-    s.active = active_;
-    s.waiting = waiting_;
-    return s;
+    return stats_;
   }
 
   std::size_t capacity() const { return max_concurrent_; }
@@ -86,10 +81,7 @@ class ExecGate {
   const std::size_t max_concurrent_;
   mutable std::mutex mutex_;
   std::condition_variable slot_free_;
-  std::size_t active_ = 0;   // guarded by mutex_
-  std::size_t waiting_ = 0;  // guarded by mutex_
-  std::uint64_t queue_waits_ = 0;
-  std::uint64_t queue_timeouts_ = 0;
+  ExecGateStats stats_;  // guarded by mutex_
 };
 
 /// RAII slot: acquires on construction, releases on destruction.

@@ -142,7 +142,7 @@ PeerState NodeGroup::state_of(PeerLink* link) const {
 }
 
 void NodeGroup::record_failure(PeerLink* link) {
-  peer_failures_.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.peer_failures;
   link->total_failures.fetch_add(1, std::memory_order_relaxed);
   const auto now = std::chrono::steady_clock::now();
   const auto probe_gap = std::chrono::milliseconds(options_.probe_interval_ms);
@@ -181,7 +181,7 @@ void NodeGroup::record_success(PeerLink* link) {
   // Converge both directions: ask the peer to re-announce its entries to
   // us, and re-announce ours to it (it may have restarted with a blank
   // view of this node's table).
-  resyncs_requested_.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.resyncs_requested;
   link->outbound->try_push(Message::sync_req(self_));
   push_state_to(link);
 }
@@ -211,7 +211,7 @@ void NodeGroup::probe_dead_peers() {
     if (peer->state != PeerState::kDead || now < peer->next_probe) continue;
     peer->next_probe = now + std::chrono::milliseconds(options_.probe_interval_ms);
     peer->probes.fetch_add(1, std::memory_order_relaxed);
-    probes_sent_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.probes_sent;
     peer->outbound->try_push(make_hello());
   }
 }
@@ -236,7 +236,7 @@ void NodeGroup::anti_entropy_round() {
   // (decommissioning, drain-only) does not gossip: its digests would read
   // as permanent drift to peers that already cleared its table.
   if (!manager->is_member(self_) || manager->decommissioning()) return;
-  anti_entropy_rounds_.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.anti_entropy_rounds;
   const auto high = manager->inv_high_vector();
   // Query mode keeps no remote directory state to compare, so its digest
   // is omitted; the epoch vector still repairs lost invalidations.
@@ -250,9 +250,9 @@ void NodeGroup::anti_entropy_round() {
         has_digest ? manager->digest_for_peer(peer->address.id, &entries) : 0;
     if (peer->outbound->try_push(
             Message::make_digest(self_, high, has_digest, digest))) {
-      digests_sent_.fetch_add(1, std::memory_order_relaxed);
+      ++stats_.digests_sent;
     } else {
-      send_failures_.fetch_add(1, std::memory_order_relaxed);
+      ++stats_.send_failures;
     }
   }
 }
@@ -262,7 +262,7 @@ void NodeGroup::maybe_pull_inv_sync(core::NodeId peer,
   if (high.empty()) return;
   core::CacheManager* manager = manager_.load(std::memory_order_acquire);
   if (manager == nullptr || !manager->inv_behind(high)) return;
-  inv_syncs_pulled_.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.inv_syncs_pulled;
   // Budget like a directory probe: the pull is an optimization pass and
   // must not stall the info reader behind a slow peer.
   const int io_timeout_ms = options_.query_timeout_ms;
@@ -306,13 +306,13 @@ void NodeGroup::check_digest(core::NodeId peer, bool has_digest,
     }
   }
   if (!repair) return;
-  digest_repairs_.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.digest_repairs;
   SWALA_LOG(Warn) << "node " << self_ << ": directory digest drift vs peer "
                   << peer << " persisted two rounds; resyncing";
   // Same flow as a rejoin: drop our stale view of the peer's table and ask
   // it to re-announce.
   manager->on_peer_recovered(peer);
-  resyncs_requested_.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.resyncs_requested;
   link->outbound->try_push(Message::sync_req(self_));
 }
 
@@ -357,11 +357,11 @@ void NodeGroup::info_read_loop(net::TcpStream stream) {
       // (inserts before their erases, etc.) is preserved exactly as if each
       // update had arrived in its own frame.
       for (const Message& inner : msg.value().batch) {
-        updates_received_.fetch_add(1, std::memory_order_relaxed);
+        ++stats_.updates_received;
         apply_info_message(inner);
       }
     } else {
-      updates_received_.fetch_add(1, std::memory_order_relaxed);
+      ++stats_.updates_received;
       apply_info_message(msg.value());
     }
   }
@@ -397,7 +397,7 @@ void NodeGroup::apply_info_message(const Message& msg) {
       // node the cluster no longer routes to).
       if (manager != nullptr && !manager->is_member(msg.sender)) break;
       if (PeerLink* link = find_link(msg.sender)) {
-        resyncs_served_.fetch_add(1, std::memory_order_relaxed);
+        ++stats_.resyncs_served;
         push_state_to(link);
       }
       break;
@@ -408,7 +408,7 @@ void NodeGroup::apply_info_message(const Message& msg) {
           // entry (meta + body); adopt it into our own store instead of
           // recording a directory entry for a node that is leaving.
           if (manager->adopt_entry(msg.meta, msg.data)) {
-            handoffs_adopted_.fetch_add(1, std::memory_order_relaxed);
+            ++stats_.handoffs_adopted;
           }
         } else {
           manager->on_peer_insert(msg.meta);
@@ -431,7 +431,7 @@ void NodeGroup::apply_info_message(const Message& msg) {
       // Graceful leave. Deactivate the slot without the dead-peer
       // quarantine: the leaver already handed its state off, so there is
       // nothing to resync when (if) the slot rejoins.
-      decommissions_observed_.fetch_add(1, std::memory_order_relaxed);
+      ++stats_.decommissions_observed;
       SWALA_LOG(Info) << "node " << self_ << ": peer " << msg.sender
                       << " decommissioned (epoch " << msg.membership_epoch
                       << ")";
@@ -508,7 +508,7 @@ void NodeGroup::serve_data_request(net::TcpStream stream) {
     if (msg.value().type == MsgType::kQuery) {
       // Directory probe (partitioned owner lookup or query-mode kQuery):
       // answer from the directory alone, never touching the blob store.
-      queries_served_.fetch_add(1, std::memory_order_relaxed);
+      ++stats_.queries_served;
       Message resp = Message::query_miss(self_);
       core::CacheManager* manager = manager_.load(std::memory_order_acquire);
       if (manager != nullptr) {
@@ -522,7 +522,7 @@ void NodeGroup::serve_data_request(net::TcpStream stream) {
     if (msg.value().type == MsgType::kInvSync) {
       // Anti-entropy pull: ship every logged invalidation above the
       // requester's floors so it can repair the gap it detected.
-      inv_syncs_served_.fetch_add(1, std::memory_order_relaxed);
+      ++stats_.inv_syncs_served;
       Message resp = Message::inv_sync_resp(self_, {}, false);
       core::CacheManager* manager = manager_.load(std::memory_order_acquire);
       if (manager != nullptr) {
@@ -538,7 +538,7 @@ void NodeGroup::serve_data_request(net::TcpStream stream) {
       // Join admission (two-phase join, phase executed per peer): activate
       // the sender's slot, fold it into the ring, and answer with our
       // post-join membership view so the joiner can adopt it.
-      joins_served_.fetch_add(1, std::memory_order_relaxed);
+      ++stats_.joins_served;
       Message resp = Message::join_ack(self_, 0, {});
       core::CacheManager* manager = manager_.load(std::memory_order_acquire);
       PeerLink* link = find_link(msg.value().sender);
@@ -572,11 +572,11 @@ void NodeGroup::serve_data_request(net::TcpStream stream) {
     if (manager != nullptr) {
       auto result = manager->serve_peer_fetch(msg.value().key);
       if (result) {
-        fetches_served_.fetch_add(1, std::memory_order_relaxed);
+        ++stats_.fetches_served;
         resp = Message::fetch_resp_found(self_, result.value().meta,
                                          std::move(result.value().data));
       } else {
-        fetch_misses_served_.fetch_add(1, std::memory_order_relaxed);
+        ++stats_.fetch_misses_served;
       }
     }
     if (!transport_.send(stream, msg.value().sender, resp).is_ok()) return;
@@ -621,10 +621,10 @@ void NodeGroup::enqueue_broadcast(const Message& msg) {
   for (auto& peer : peers_) {
     if (!peer->active.load(std::memory_order_acquire)) continue;
     if (!peer->outbound->try_push(msg)) {
-      send_failures_.fetch_add(1, std::memory_order_relaxed);
+      ++stats_.send_failures;
     }
   }
-  broadcasts_sent_.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.broadcasts_sent;
 }
 
 void NodeGroup::broadcast_insert(const core::EntryMeta& meta) {
@@ -649,17 +649,17 @@ void NodeGroup::enqueue_to(core::NodeId id, const Message& msg) {
     // Slot outside the active set: drop (anti-entropy repairs any update
     // that raced a membership transition).
     link->dropped.fetch_add(1, std::memory_order_relaxed);
-    messages_dropped_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.messages_dropped;
     return;
   }
   if (!link->outbound->try_push(msg)) {
-    send_failures_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.send_failures;
   }
 }
 
 void NodeGroup::send_owner_insert(core::NodeId ring_owner,
                                   const core::EntryMeta& meta) {
-  owner_updates_sent_.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.owner_updates_sent;
   enqueue_to(ring_owner, Message::owner_insert(self_, meta));
 }
 
@@ -667,14 +667,14 @@ void NodeGroup::send_owner_erase(core::NodeId ring_owner,
                                  core::NodeId cache_node,
                                  const std::string& key,
                                  std::uint64_t version) {
-  owner_updates_sent_.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.owner_updates_sent;
   enqueue_to(ring_owner, Message::owner_erase(self_, cache_node, key, version));
 }
 
 void NodeGroup::send_handoff(core::NodeId successor,
                              const core::EntryMeta& meta,
                              const std::string& body) {
-  handoff_frames_sent_.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.handoff_frames_sent;
   enqueue_to(successor, Message::insert_handoff(self_, meta, body));
 }
 
@@ -739,7 +739,7 @@ void NodeGroup::sender_loop(PeerLink* link) {
     if (!link->active.load(std::memory_order_acquire)) {
       // Slot left the active set after this message was queued; drop it.
       link->dropped.fetch_add(1, std::memory_order_relaxed);
-      messages_dropped_.fetch_add(1, std::memory_order_relaxed);
+      ++stats_.messages_dropped;
       continue;
     }
     const bool is_probe = msg->type == MsgType::kHello;
@@ -748,7 +748,7 @@ void NodeGroup::sender_loop(PeerLink* link) {
       // Breaker open: dropping beats retrying into a dead socket. The
       // rejoin resync repairs whatever the peer missed.
       link->dropped.fetch_add(1, std::memory_order_relaxed);
-      messages_dropped_.fetch_add(1, std::memory_order_relaxed);
+      ++stats_.messages_dropped;
       continue;
     }
 
@@ -772,7 +772,7 @@ void NodeGroup::sender_loop(PeerLink* link) {
     for (int attempt = 0; attempt < max_attempts; ++attempt) {
       if (attempt > 0) {
         if (!running_.load(std::memory_order_relaxed)) break;
-        send_retries_.fetch_add(1, std::memory_order_relaxed);
+        ++stats_.send_retries;
         std::this_thread::sleep_for(
             std::chrono::milliseconds(backoff_delay_ms(attempt)));
       }
@@ -791,7 +791,7 @@ void NodeGroup::sender_loop(PeerLink* link) {
           stream.close();
           continue;
         }
-        frames_sent_.fetch_add(1, std::memory_order_relaxed);
+        ++stats_.frames_sent;
         greeted = true;
         if (is_probe) {
           sent = true;  // the greeting itself proved the peer reachable
@@ -799,7 +799,7 @@ void NodeGroup::sender_loop(PeerLink* link) {
         }
       }
       if (transport_.send(stream, link->address.id, out).is_ok()) {
-        frames_sent_.fetch_add(1, std::memory_order_relaxed);
+        ++stats_.frames_sent;
         sent = true;
         break;
       }
@@ -807,12 +807,12 @@ void NodeGroup::sender_loop(PeerLink* link) {
     }
     if (sent) {
       if (run_size > 1) {
-        batched_broadcasts_.fetch_add(run_size, std::memory_order_relaxed);
+        stats_.batched_broadcasts += run_size;
       }
       record_success(link);
     } else {
       stream.close();
-      send_failures_.fetch_add(1, std::memory_order_relaxed);
+      ++stats_.send_failures;
       if (running_.load(std::memory_order_relaxed)) record_failure(link);
     }
   }
@@ -828,7 +828,7 @@ Result<core::CachedResult> NodeGroup::fetch_remote(core::NodeId owner,
 Result<core::CachedResult> NodeGroup::fetch_remote(core::NodeId owner,
                                                    const std::string& key,
                                                    int budget_ms) {
-  remote_fetches_.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.remote_fetches;
   // A request deadline caps every socket timeout: with `budget_ms` set, a
   // fetch can never out-live the request that issued it, so a slow peer
   // costs at most the remaining budget before the local-CGI fallback runs.
@@ -854,7 +854,7 @@ Result<core::CachedResult> NodeGroup::fetch_remote(core::NodeId owner,
 Result<core::EntryMeta> NodeGroup::lookup_at_owner(core::NodeId ring_owner,
                                                    const std::string& key,
                                                    int budget_ms) {
-  queries_sent_.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.queries_sent;
   // Probes cap at query_timeout_ms regardless of the request budget: an
   // owner that cannot answer quickly should not delay the local fallback.
   int io_timeout_ms = options_.query_timeout_ms;
@@ -868,7 +868,7 @@ Result<core::EntryMeta> NodeGroup::lookup_at_owner(core::NodeId ring_owner,
   if (!resp.value().found) {
     return Status(StatusCode::kNotFound, "owner knows of no cached copy");
   }
-  query_hits_.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.query_hits;
   return resp.value().meta;
 }
 
@@ -911,7 +911,7 @@ Result<core::EntryMeta> NodeGroup::query_peers(const std::string& key,
       every_peer_answered = false;
       break;
     }
-    queries_sent_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.queries_sent;
     const int io_timeout_ms = std::min(options_.query_timeout_ms, remaining);
     const int connect_timeout_ms =
         std::min(options_.connect_timeout_ms, io_timeout_ms);
@@ -923,7 +923,7 @@ Result<core::EntryMeta> NodeGroup::query_peers(const std::string& key,
       continue;
     }
     if (resp.value().found) {
-      query_hits_.fetch_add(1, std::memory_order_relaxed);
+      ++stats_.query_hits;
       return resp.value().meta;
     }
   }
@@ -1046,7 +1046,7 @@ Status NodeGroup::join_cluster() {
   Status last_error(StatusCode::kUnavailable, "no active peer to join via");
   for (auto& peer : peers_) {
     if (!peer->active.load(std::memory_order_acquire)) continue;
-    joins_sent_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.joins_sent;
     auto resp = data_exchange(peer->address.id, Message::join(self_),
                               MsgType::kJoinAck, io_timeout_ms,
                               connect_timeout_ms);
@@ -1130,40 +1130,6 @@ PeerState NodeGroup::peer_state(core::NodeId id) const {
   PeerLink* link = find_link(id);
   if (link == nullptr) return PeerState::kHealthy;
   return state_of(link);
-}
-
-GroupStats NodeGroup::stats() const {
-  GroupStats s;
-  s.broadcasts_sent = broadcasts_sent_.load(std::memory_order_relaxed);
-  s.frames_sent = frames_sent_.load(std::memory_order_relaxed);
-  s.batched_broadcasts = batched_broadcasts_.load(std::memory_order_relaxed);
-  s.updates_received = updates_received_.load(std::memory_order_relaxed);
-  s.fetches_served = fetches_served_.load(std::memory_order_relaxed);
-  s.fetch_misses_served = fetch_misses_served_.load(std::memory_order_relaxed);
-  s.remote_fetches = remote_fetches_.load(std::memory_order_relaxed);
-  s.send_failures = send_failures_.load(std::memory_order_relaxed);
-  s.send_retries = send_retries_.load(std::memory_order_relaxed);
-  s.peer_failures = peer_failures_.load(std::memory_order_relaxed);
-  s.messages_dropped = messages_dropped_.load(std::memory_order_relaxed);
-  s.probes_sent = probes_sent_.load(std::memory_order_relaxed);
-  s.resyncs_requested = resyncs_requested_.load(std::memory_order_relaxed);
-  s.resyncs_served = resyncs_served_.load(std::memory_order_relaxed);
-  s.owner_updates_sent = owner_updates_sent_.load(std::memory_order_relaxed);
-  s.queries_sent = queries_sent_.load(std::memory_order_relaxed);
-  s.query_hits = query_hits_.load(std::memory_order_relaxed);
-  s.queries_served = queries_served_.load(std::memory_order_relaxed);
-  s.anti_entropy_rounds = anti_entropy_rounds_.load(std::memory_order_relaxed);
-  s.digests_sent = digests_sent_.load(std::memory_order_relaxed);
-  s.digest_repairs = digest_repairs_.load(std::memory_order_relaxed);
-  s.inv_syncs_pulled = inv_syncs_pulled_.load(std::memory_order_relaxed);
-  s.inv_syncs_served = inv_syncs_served_.load(std::memory_order_relaxed);
-  s.joins_sent = joins_sent_.load(std::memory_order_relaxed);
-  s.joins_served = joins_served_.load(std::memory_order_relaxed);
-  s.decommissions_observed =
-      decommissions_observed_.load(std::memory_order_relaxed);
-  s.handoff_frames_sent = handoff_frames_sent_.load(std::memory_order_relaxed);
-  s.handoffs_adopted = handoffs_adopted_.load(std::memory_order_relaxed);
-  return s;
 }
 
 }  // namespace swala::cluster

@@ -38,6 +38,7 @@
 #include "cluster/transport.h"
 #include "common/queue.h"
 #include "common/random.h"
+#include "common/stats.h"
 #include "core/manager.h"
 #include "net/socket.h"
 
@@ -124,42 +125,42 @@ struct GroupOptions {
 
 /// Counters for the overhead experiments (Tables 3 and 4).
 struct GroupStats {
-  std::uint64_t broadcasts_sent = 0;
+  Counter broadcasts_sent;
   /// Frames actually written to peer info sockets by the sender loops
   /// (greetings included). With batching this is what amortization shrinks:
   /// many queued updates ride in one frame.
-  std::uint64_t frames_sent = 0;
+  Counter frames_sent;
   /// Updates that rode inside a kBatch frame (counts inner messages).
-  std::uint64_t batched_broadcasts = 0;
-  std::uint64_t updates_received = 0;
-  std::uint64_t fetches_served = 0;
-  std::uint64_t fetch_misses_served = 0;  ///< peers' false hits seen from here
-  std::uint64_t remote_fetches = 0;
-  std::uint64_t send_failures = 0;
+  Counter batched_broadcasts;
+  Counter updates_received;
+  Counter fetches_served;
+  Counter fetch_misses_served;  ///< peers' false hits seen from here
+  Counter remote_fetches;
+  Counter send_failures;
   // ---- failure handling ----
-  std::uint64_t send_retries = 0;      ///< backoff-gated resend attempts
-  std::uint64_t peer_failures = 0;     ///< breaker failure recordings
-  std::uint64_t messages_dropped = 0;  ///< discarded while a peer was dead
-  std::uint64_t probes_sent = 0;       ///< HELLO probes to dead peers
-  std::uint64_t resyncs_requested = 0; ///< SYNC_REQs sent on recovery
-  std::uint64_t resyncs_served = 0;    ///< peers' SYNC_REQs answered
+  Counter send_retries;       ///< backoff-gated resend attempts
+  Counter peer_failures;      ///< breaker failure recordings
+  Counter messages_dropped;   ///< discarded while a peer was dead
+  Counter probes_sent;        ///< HELLO probes to dead peers
+  Counter resyncs_requested;  ///< SYNC_REQs sent on recovery
+  Counter resyncs_served;     ///< peers' SYNC_REQs answered
   // ---- cooperation modes ----
-  std::uint64_t owner_updates_sent = 0; ///< unicast kOwnerUpdate frames
-  std::uint64_t queries_sent = 0;       ///< kQuery probes issued
-  std::uint64_t query_hits = 0;         ///< probes answered "found"
-  std::uint64_t queries_served = 0;     ///< peers' kQuery probes answered
+  Counter owner_updates_sent;  ///< unicast kOwnerUpdate frames
+  Counter queries_sent;        ///< kQuery probes issued
+  Counter query_hits;          ///< probes answered "found"
+  Counter queries_served;      ///< peers' kQuery probes answered
   // ---- anti-entropy consistency repair ----
-  std::uint64_t anti_entropy_rounds = 0;  ///< digest rounds initiated
-  std::uint64_t digests_sent = 0;         ///< kDigest frames enqueued
-  std::uint64_t digest_repairs = 0;       ///< directory resyncs a mismatch forced
-  std::uint64_t inv_syncs_pulled = 0;     ///< kInvSync pulls issued on a gap
-  std::uint64_t inv_syncs_served = 0;     ///< peers' kInvSync pulls answered
+  Counter anti_entropy_rounds;  ///< digest rounds initiated
+  Counter digests_sent;         ///< kDigest frames enqueued
+  Counter digest_repairs;       ///< directory resyncs a mismatch forced
+  Counter inv_syncs_pulled;     ///< kInvSync pulls issued on a gap
+  Counter inv_syncs_served;     ///< peers' kInvSync pulls answered
   // ---- dynamic membership ----
-  std::uint64_t joins_sent = 0;           ///< kJoin requests issued
-  std::uint64_t joins_served = 0;         ///< peers' kJoin requests admitted
-  std::uint64_t decommissions_observed = 0;  ///< kDecommission frames applied
-  std::uint64_t handoff_frames_sent = 0;  ///< kInsert handoff frames enqueued
-  std::uint64_t handoffs_adopted = 0;     ///< handed-off entries adopted here
+  Counter joins_sent;              ///< kJoin requests issued
+  Counter joins_served;            ///< peers' kJoin requests admitted
+  Counter decommissions_observed;  ///< kDecommission frames applied
+  Counter handoff_frames_sent;     ///< kInsert handoff frames enqueued
+  Counter handoffs_adopted;        ///< handed-off entries adopted here
 };
 
 /// Snapshot of one peer's health (exposed via /swala-status).
@@ -261,7 +262,7 @@ class NodeGroup final : public core::CooperationBus {
   void set_member_active(core::NodeId id, bool active);
   bool member_active(core::NodeId id) const;
 
-  GroupStats stats() const;
+  GroupStats stats() const { return stats_; }
 
   /// Health snapshot of every peer (excludes self).
   std::vector<PeerHealth> peer_health() const;
@@ -396,17 +397,7 @@ class NodeGroup final : public core::CooperationBus {
   std::mutex backoff_mutex_;
   Rng backoff_rng_;  // guarded by backoff_mutex_
 
-  mutable std::atomic<std::uint64_t> broadcasts_sent_{0}, frames_sent_{0},
-      batched_broadcasts_{0}, updates_received_{0},
-      fetches_served_{0}, fetch_misses_served_{0}, remote_fetches_{0},
-      send_failures_{0}, send_retries_{0}, peer_failures_{0},
-      messages_dropped_{0}, probes_sent_{0}, resyncs_requested_{0},
-      resyncs_served_{0}, owner_updates_sent_{0}, queries_sent_{0},
-      query_hits_{0}, queries_served_{0}, anti_entropy_rounds_{0},
-      digests_sent_{0}, digest_repairs_{0}, inv_syncs_pulled_{0},
-      inv_syncs_served_{0}, joins_sent_{0}, joins_served_{0},
-      decommissions_observed_{0}, handoff_frames_sent_{0},
-      handoffs_adopted_{0};
+  GroupStats stats_;
   /// Rotating start offset for query_peers sweeps (seeded from backoff_seed
   /// so probe order is deterministic per node yet differs across nodes).
   std::atomic<std::uint64_t> query_rotation_{0};

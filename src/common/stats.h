@@ -1,15 +1,47 @@
 // Online statistics used by the benchmark harnesses and the simulator:
 // Welford mean/variance, a log-bucketed latency histogram with percentile
-// queries, and simple monotonic counters.
+// queries, and the lock-free Counter the stats structs are made of.
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <string>
 #include <vector>
 
 namespace swala {
+
+/// One lock-free counter field of a stats struct. Every bump is a single
+/// relaxed atomic add, so the struct its owner bumps in place is also the
+/// snapshot `stats()` returns: copying a Counter is a relaxed load. Fields
+/// of one snapshot are read one by one, not as a consistent cut. `--` and
+/// `-=` serve gauges such as active connections.
+class Counter {
+ public:
+  Counter() = default;
+  Counter(const Counter& other) : value_(other) {}
+  Counter& operator=(const Counter& other) {
+    value_.store(other, std::memory_order_relaxed);
+    return *this;
+  }
+
+  void operator++() { value_.fetch_add(1, std::memory_order_relaxed); }
+  void operator--() { value_.fetch_sub(1, std::memory_order_relaxed); }
+  void operator+=(std::uint64_t n) {
+    value_.fetch_add(n, std::memory_order_relaxed);
+  }
+  void operator-=(std::uint64_t n) {
+    value_.fetch_sub(n, std::memory_order_relaxed);
+  }
+
+  operator std::uint64_t() const {
+    return value_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  std::atomic<std::uint64_t> value_{0};
+};
 
 /// Streaming mean / variance / min / max (Welford's algorithm).
 class OnlineStats {

@@ -64,14 +64,14 @@ std::size_t CacheDirectory::clear_table(NodeId node) {
   };
   if (mode_ == LockingMode::kWholeDirectory) {
     std::unique_lock lock(whole_mutex_);
-    lock_count_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.lock_acquisitions;
     do_clear();
   } else {
     std::unique_lock lock(table.mutex);
-    lock_count_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.lock_acquisitions;
     do_clear();
   }
-  erases_.fetch_add(dropped, std::memory_order_relaxed);
+  stats_.erases += dropped;
   return dropped;
 }
 
@@ -81,14 +81,14 @@ void CacheDirectory::apply_insert(const EntryMeta& meta) {
 
   if (mode_ == LockingMode::kWholeDirectory) {
     std::unique_lock lock(whole_mutex_);
-    lock_count_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.lock_acquisitions;
     table.entries[meta.key] = std::make_unique<EntrySlot>(meta);
   } else {
     std::unique_lock lock(table.mutex);
-    lock_count_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.lock_acquisitions;
     table.entries[meta.key] = std::make_unique<EntrySlot>(meta);
   }
-  inserts_.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.inserts;
 }
 
 void CacheDirectory::apply_erase(NodeId owner, const std::string& key,
@@ -101,22 +101,22 @@ void CacheDirectory::apply_erase(NodeId owner, const std::string& key,
     if (it == table.entries.end()) return;
     if (version != 0 && it->second->meta.version > version) return;
     table.entries.erase(it);
-    erases_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.erases;
   };
 
   if (mode_ == LockingMode::kWholeDirectory) {
     std::unique_lock lock(whole_mutex_);
-    lock_count_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.lock_acquisitions;
     do_erase();
   } else {
     std::unique_lock lock(table.mutex);
-    lock_count_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.lock_acquisitions;
     do_erase();
   }
 }
 
 std::optional<EntryMeta> CacheDirectory::lookup(const std::string& key) const {
-  lookups_.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.lookups;
   const TimeNs now = clock_->now();
 
   // Scan order: local table first, then peers, so a locally cached result
@@ -141,7 +141,7 @@ std::optional<EntryMeta> CacheDirectory::lookup(const std::string& key) const {
       }
       case LockingMode::kPerTable: {
         std::shared_lock lock(table.mutex);
-        lock_count_.fetch_add(1, std::memory_order_relaxed);
+        ++stats_.lock_acquisitions;
         const auto it = table.entries.find(key);
         if (it != table.entries.end() && !it->second->meta.expired(now)) {
           return it->second->meta;
@@ -155,13 +155,13 @@ std::optional<EntryMeta> CacheDirectory::lookup(const std::string& key) const {
         const EntrySlot* slot = nullptr;
         {
           std::shared_lock lock(table.mutex);
-          lock_count_.fetch_add(1, std::memory_order_relaxed);
+          ++stats_.lock_acquisitions;
           const auto it = table.entries.find(key);
           if (it != table.entries.end()) slot = it->second.get();
         }
         if (slot == nullptr) return std::nullopt;
         std::lock_guard<std::mutex> entry_lock(slot->entry_mutex);
-        lock_count_.fetch_add(1, std::memory_order_relaxed);
+        ++stats_.lock_acquisitions;
         if (!slot->meta.expired(now)) return slot->meta;
         return std::nullopt;
       }
@@ -174,7 +174,7 @@ std::optional<EntryMeta> CacheDirectory::lookup(const std::string& key) const {
   std::optional<EntryMeta> found;
   if (mode_ == LockingMode::kWholeDirectory) {
     std::shared_lock lock(whole_mutex_);
-    lock_count_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.lock_acquisitions;
     if (auto hit = scan_table(self_)) {
       found = hit;
     } else {
@@ -193,7 +193,7 @@ std::optional<EntryMeta> CacheDirectory::lookup(const std::string& key) const {
       }
     }
   }
-  if (found) lookup_hits_.fetch_add(1, std::memory_order_relaxed);
+  if (found) ++stats_.lookup_hits;
   return found;
 }
 
@@ -204,7 +204,7 @@ std::optional<EntryMeta> CacheDirectory::lookup_at(NodeId node,
   const Table& table = *tables_[node];
   if (mode_ == LockingMode::kWholeDirectory) {
     std::shared_lock lock(whole_mutex_);
-    lock_count_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.lock_acquisitions;
     const auto it = table.entries.find(key);
     if (it != table.entries.end() && !it->second->meta.expired(now)) {
       return it->second->meta;
@@ -212,7 +212,7 @@ std::optional<EntryMeta> CacheDirectory::lookup_at(NodeId node,
     return std::nullopt;
   }
   std::shared_lock lock(table.mutex);
-  lock_count_.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.lock_acquisitions;
   const auto it = table.entries.find(key);
   if (it != table.entries.end() && !it->second->meta.expired(now)) {
     return it->second->meta;
@@ -232,11 +232,11 @@ void CacheDirectory::apply_touch(NodeId owner, const std::string& key,
   };
   if (mode_ == LockingMode::kWholeDirectory) {
     std::unique_lock lock(whole_mutex_);
-    lock_count_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.lock_acquisitions;
     do_touch();
   } else {
     std::unique_lock lock(table.mutex);
-    lock_count_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.lock_acquisitions;
     do_touch();
   }
 }
@@ -248,7 +248,7 @@ std::vector<std::string> CacheDirectory::expired_keys(NodeId node,
   const Table& table = *tables_[node];
   std::shared_lock lock(mode_ == LockingMode::kWholeDirectory ? whole_mutex_
                                                               : table.mutex);
-  lock_count_.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.lock_acquisitions;
   for (const auto& [key, slot] : table.entries) {
     if (slot->meta.expired(now)) out.push_back(key);
   }
@@ -261,12 +261,12 @@ std::size_t CacheDirectory::erase_matching(std::string_view pattern) {
     Table& table = *table_ptr;
     std::unique_lock lock(mode_ == LockingMode::kWholeDirectory ? whole_mutex_
                                                                 : table.mutex);
-    lock_count_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.lock_acquisitions;
     for (auto it = table.entries.begin(); it != table.entries.end();) {
       if (glob_match(pattern, it->first)) {
         it = table.entries.erase(it);
         ++removed;
-        erases_.fetch_add(1, std::memory_order_relaxed);
+        ++stats_.erases;
       } else {
         ++it;
       }
@@ -323,16 +323,6 @@ std::size_t CacheDirectory::table_size(NodeId node) const {
   std::shared_lock lock(mode_ == LockingMode::kWholeDirectory ? whole_mutex_
                                                               : table.mutex);
   return table.entries.size();
-}
-
-DirectoryStats CacheDirectory::stats() const {
-  DirectoryStats s;
-  s.lookups = lookups_.load(std::memory_order_relaxed);
-  s.lookup_hits = lookup_hits_.load(std::memory_order_relaxed);
-  s.inserts = inserts_.load(std::memory_order_relaxed);
-  s.erases = erases_.load(std::memory_order_relaxed);
-  s.lock_acquisitions = lock_count_.load(std::memory_order_relaxed);
-  return s;
 }
 
 }  // namespace swala::core

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "common/stats.h"
 #include "core/entry.h"
 
 namespace swala::core {
@@ -56,11 +57,11 @@ std::optional<DirectoryMode> directory_mode_from_name(std::string_view name);
 
 /// Aggregate directory statistics for experiments.
 struct DirectoryStats {
-  std::uint64_t lookups = 0;
-  std::uint64_t lookup_hits = 0;
-  std::uint64_t inserts = 0;
-  std::uint64_t erases = 0;
-  std::uint64_t lock_acquisitions = 0;  ///< how many locks a workload took
+  Counter lookups;
+  Counter lookup_hits;
+  Counter inserts;
+  Counter erases;
+  Counter lock_acquisitions;  ///< how many locks a workload took
 };
 
 class CacheDirectory {
@@ -139,7 +140,7 @@ class CacheDirectory {
   std::size_t num_nodes() const { return tables_.size(); }
   LockingMode locking_mode() const { return mode_; }
 
-  DirectoryStats stats() const;
+  DirectoryStats stats() const { return stats_; }
 
  private:
   struct EntrySlot {
@@ -163,11 +164,7 @@ class CacheDirectory {
   /// One flag per table; set while the owning peer is considered dead.
   std::vector<std::atomic<bool>> quarantined_;
   mutable std::shared_mutex whole_mutex_;  // used only in kWholeDirectory
-  mutable std::atomic<std::uint64_t> lock_count_{0};
-  mutable std::atomic<std::uint64_t> lookups_{0};
-  mutable std::atomic<std::uint64_t> lookup_hits_{0};
-  std::atomic<std::uint64_t> inserts_{0};
-  std::atomic<std::uint64_t> erases_{0};
+  mutable DirectoryStats stats_;  ///< mutable: lookups count themselves
 
  public:
   /// Injects the clock for expiry checks (defaults to RealClock).

@@ -74,11 +74,11 @@ CacheKey CacheManager::key_for(http::Method method, const http::Uri& uri) {
 
 LookupResult CacheManager::lookup(http::Method method, const http::Uri& uri,
                                   const Deadline& deadline) {
-  lookups_.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.lookups;
   LookupResult out;
   out.rule = options_.rules.classify(uri.path);
   if (!out.rule.cacheable) {
-    uncacheable_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.uncacheable;
     out.outcome = LookupOutcome::kUncacheable;
     return out;
   }
@@ -90,7 +90,7 @@ LookupResult CacheManager::lookup(http::Method method, const http::Uri& uri,
     auto local = store_->fetch(key.text);
     if (local) {
       directory_->apply_touch(self_, key.text, local->meta.last_access);
-      local_hits_.fetch_add(1, std::memory_order_relaxed);
+      ++stats_.local_hits;
       out.outcome = LookupOutcome::kHit;
       out.result = std::move(*local);
       out.owner = self_;
@@ -117,7 +117,7 @@ LookupResult CacheManager::lookup(http::Method method, const http::Uri& uri,
     const NodeId owner_node = ring_owner_of(key.text);
     const NodeId prev_owner = prev_ring_owner_of(key.text);
     if (prev_owner != owner_node) {
-      dual_read_probes_.fetch_add(1, std::memory_order_relaxed);
+      ++stats_.dual_read_probes;
       if (probe_dir_owner(&out, prev_owner, key.text, deadline)) return out;
     }
     if (probe_dir_owner(&out, owner_node, key.text, deadline)) return out;
@@ -125,10 +125,10 @@ LookupResult CacheManager::lookup(http::Method method, const http::Uri& uri,
              bus_ != nullptr) {
     // No directory state anywhere: probe the peers (ICP-style), bounded by
     // the transport's query timeout and the request deadline.
-    peer_queries_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.peer_queries;
     auto entry = bus_->query_peers(key.text, deadline.budget_ms(0));
     if (entry && entry.value().owner != self_) {
-      peer_query_hits_.fetch_add(1, std::memory_order_relaxed);
+      ++stats_.peer_query_hits;
       EntryMeta meta = std::move(entry.value());
       meta.key = key.text;
       if (fetch_hit_from(&out, meta, deadline, FalseHitSource::kProbe)) {
@@ -139,7 +139,7 @@ LookupResult CacheManager::lookup(http::Method method, const http::Uri& uri,
     // probe was an optimization, not a dependency.
   }
 
-  misses_.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.misses;
   out.outcome = LookupOutcome::kMissMustExecute;
   return finish_miss(std::move(out), key.text);
 }
@@ -151,7 +151,7 @@ bool CacheManager::fetch_hit_from(LookupResult* out, const EntryMeta& meta,
   // budget_ms(0) is 0 (= the transport's own timeout) when unlimited.
   auto remote = bus_->fetch_remote(meta.owner, meta.key, deadline.budget_ms(0));
   if (remote) {
-    remote_hits_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.remote_hits;
     out->outcome = LookupOutcome::kHit;
     out->result = std::move(remote.value());
     out->remote = true;
@@ -161,7 +161,7 @@ bool CacheManager::fetch_hit_from(LookupResult* out, const EntryMeta& meta,
   if (remote.status().code() == StatusCode::kNotFound) {
     // False hit (§4.2): the entry was deleted at the caching node before
     // the directory caught up. Execute locally, per Figure 2.
-    false_hits_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.false_hits;
     switch (source) {
       case FalseHitSource::kLocalTable:
         directory_->apply_erase(meta.owner, meta.key);
@@ -180,7 +180,7 @@ bool CacheManager::fetch_hit_from(LookupResult* out, const EntryMeta& meta,
   } else {
     // Timeout, dead peer, torn connection: degrade gracefully by running
     // the CGI locally instead of failing the client request.
-    fallback_executions_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.fallback_executions;
     SWALA_LOG(Warn) << "remote fetch from node " << meta.owner << " failed ("
                     << remote.status().to_string()
                     << "); falling back to local execution";
@@ -195,10 +195,10 @@ bool CacheManager::probe_dir_owner(LookupResult* out, NodeId owner_node,
       directory_->quarantined(owner_node)) {
     return false;
   }
-  remote_dir_lookups_.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.remote_dir_lookups;
   auto entry = bus_->lookup_at_owner(owner_node, key, deadline.budget_ms(0));
   if (entry && entry.value().owner != self_) {
-    remote_dir_hits_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.remote_dir_hits;
     EntryMeta meta = std::move(entry.value());
     meta.key = key;  // defend against a lying/mis-keyed answer
     return fetch_hit_from(out, meta, deadline, FalseHitSource::kRingOwner);
@@ -210,7 +210,7 @@ bool CacheManager::probe_dir_owner(LookupResult* out, NodeId owner_node,
     // consistency tradeoff as the replicated false-hit cleanup.
     bus_->send_owner_erase(owner_node, self_, key, 0);
   } else if (entry.status().code() != StatusCode::kNotFound) {
-    fallback_executions_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.fallback_executions;
     SWALA_LOG(Warn) << "directory lookup at owner " << owner_node
                     << " failed (" << entry.status().to_string()
                     << "); falling back to local execution";
@@ -294,7 +294,7 @@ LookupResult CacheManager::finish_miss(LookupResult out,
   // fail fast instead of re-forking a CGI that just failed.
   if (auto it = negative_.find(key); it != negative_.end()) {
     if (clock_ != nullptr && clock_->now() < it->second.expires) {
-      failed_fast_.fetch_add(1, std::memory_order_relaxed);
+      ++stats_.failed_fast;
       out.outcome = LookupOutcome::kFailedFast;
       out.fail_status = it->second.status;
       out.fail_reason = it->second.reason;
@@ -325,7 +325,7 @@ LookupResult CacheManager::await(LookupResult pending,
   std::unique_lock<std::mutex> lock(flight->mutex);
   while (!flight->done) {
     if (deadline.expired()) {
-      coalesce_timeouts_.fetch_add(1, std::memory_order_relaxed);
+      ++stats_.coalesce_timeouts;
       out.outcome = LookupOutcome::kFailedFast;
       out.fail_status = 503;
       out.fail_reason = "deadline expired waiting for in-flight execution";
@@ -335,7 +335,7 @@ LookupResult CacheManager::await(LookupResult pending,
                         std::chrono::milliseconds(deadline.budget_ms(50)));
   }
 
-  coalesced_misses_.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.coalesced_misses;
   if (!flight->success) {
     out.outcome = LookupOutcome::kFailedFast;
     out.fail_status = flight->fail_status;
@@ -407,7 +407,7 @@ void CacheManager::fail(http::Method method, const http::Uri& uri,
   if (!rule.cacheable) return;
   const CacheKey key = key_for(method, uri);
   if (remember) {
-    failed_exec_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.failed_exec;
     record_negative(key.text, http_status, reason);
   }
   publish_execution(key.text, /*success=*/false, nullptr, http_status, reason);
@@ -420,7 +420,7 @@ void CacheManager::complete(http::Method method, const http::Uri& uri,
   if (!rule.cacheable) return;
   const CacheKey key = key_for(method, uri);
   if (!output.success || output.http_status >= 400) {
-    failed_exec_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.failed_exec;
     // Remember the failure so the next misses within negative_ttl fail
     // fast, and hand waiters the error rather than the cached-path result.
     record_negative(key.text,
@@ -436,7 +436,7 @@ void CacheManager::complete(http::Method method, const http::Uri& uri,
   // see an error. Published before any early return below.
   publish_execution(key.text, /*success=*/true, &output, 0, {});
   if (exec_seconds < rule.min_exec_seconds) {
-    below_threshold_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.below_threshold;
     return;
   }
 
@@ -447,7 +447,7 @@ void CacheManager::complete(http::Method method, const http::Uri& uri,
   // Disk gone bad: serve uncacheable instead of hammering a failing device
   // on every request (the response itself was already produced).
   if (degraded_should_skip()) {
-    degraded_skips_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.degraded_skips;
     return;
   }
 
@@ -465,7 +465,7 @@ void CacheManager::complete(http::Method method, const http::Uri& uri,
   for (const auto& victim : evicted) {
     directory_->apply_erase(self_, victim.key, victim.version);
     if (announce_erase(victim.key, victim.version)) {
-      evictions_broadcast_.fetch_add(1, std::memory_order_relaxed);
+      ++stats_.evictions_broadcast;
     }
   }
 
@@ -476,7 +476,7 @@ void CacheManager::complete(http::Method method, const http::Uri& uri,
     if (!evicted.empty()) ++commit_seq_;
     return;
   }
-  inserts_.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.inserts;
   directory_->apply_insert(inserted.value());
   announce_insert(inserted.value());
   ++commit_seq_;
@@ -499,7 +499,7 @@ void CacheManager::on_peer_insert(const EntryMeta& meta) {
   // False-miss evidence (§4.2): if we also cached this key locally, both
   // nodes executed the same request — one execution was avoidable.
   if (store_->contains(meta.key)) {
-    false_misses_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.false_misses;
   }
   directory_->apply_insert(meta);
 }
@@ -570,7 +570,7 @@ void CacheManager::record_insert_outcome(bool io_failure) {
     }
     return;
   }
-  disk_errors_.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.disk_errors;
   const int failures =
       consecutive_put_failures_.fetch_add(1, std::memory_order_relaxed) + 1;
   if (failures >= options_.disk_failure_threshold &&
@@ -597,9 +597,9 @@ void CacheManager::maybe_checkpoint() {
     last_checkpoint_time_ = now;
   }
   if (auto st = store_->save_manifest(options_.state_file); st.is_ok()) {
-    checkpoints_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.checkpoints;
   } else {
-    checkpoint_failures_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.checkpoint_failures;
     SWALA_LOG(Warn) << "manifest checkpoint failed: " << st.to_string();
   }
 }
@@ -670,7 +670,7 @@ CacheManager::HandoffStats CacheManager::member_joined(NodeId node) {
   }
   if (!changed) return stats;
   membership_epoch_.fetch_add(1, std::memory_order_relaxed);
-  membership_transitions_.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.membership_transitions;
   if (node != self_) {
     // Drop any stale state from a previous life of this slot; a joining
     // member must not start its new life quarantined.
@@ -709,7 +709,7 @@ CacheManager::HandoffStats CacheManager::member_left(NodeId node) {
   }
   if (!changed) return stats;
   membership_epoch_.fetch_add(1, std::memory_order_relaxed);
-  membership_transitions_.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.membership_transitions;
   // Graceful leave, not death: clear the table without quarantining (the
   // leaver handed its state off; quarantine is the unplanned-death path).
   directory_->clear_table(node);
@@ -749,7 +749,7 @@ void CacheManager::adopt_membership(std::uint64_t epoch,
                                                   std::memory_order_relaxed)) {
   }
   if (changed) {
-    membership_transitions_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.membership_transitions;
     // Introduce the local cache to the adopted cluster. Entries cached
     // while stand-alone (or under the old view) have no records at the
     // new directory owners — and peers wiped this node's table on
@@ -761,7 +761,7 @@ void CacheManager::adopt_membership(std::uint64_t epoch,
         ++announced;
       }
     }
-    handoff_records_sent_.fetch_add(announced, std::memory_order_relaxed);
+    stats_.handoff_records_sent += announced;
     SWALA_LOG(Info) << "node " << self_ << ": adopted membership view ("
                     << members.size() << " members, epoch " << epoch
                     << "); announced " << announced << " resident entries";
@@ -851,8 +851,8 @@ CacheManager::HandoffStats CacheManager::handoff_state(
       }
     }
   }
-  handoff_entries_sent_.fetch_add(stats.entries, std::memory_order_relaxed);
-  handoff_records_sent_.fetch_add(stats.records, std::memory_order_relaxed);
+  stats_.handoff_entries_sent += stats.entries;
+  stats_.handoff_records_sent += stats.records;
   SWALA_LOG(Info) << "node " << self_ << ": handed off " << stats.entries
                   << " entries and " << stats.records
                   << " directory records to successors";
@@ -868,7 +868,7 @@ bool CacheManager::adopt_entry(const EntryMeta& meta, const std::string& body) {
     if (ttl <= 0.0) return false;  // arrived already expired
   }
   if (degraded_should_skip()) {
-    degraded_skips_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.degraded_skips;
     return false;
   }
   std::lock_guard<std::mutex> commit(commit_mutex_);
@@ -884,7 +884,7 @@ bool CacheManager::adopt_entry(const EntryMeta& meta, const std::string& body) {
   for (const auto& victim : evicted) {
     directory_->apply_erase(self_, victim.key, victim.version);
     if (announce_erase(victim.key, victim.version)) {
-      evictions_broadcast_.fetch_add(1, std::memory_order_relaxed);
+      ++stats_.evictions_broadcast;
     }
   }
   record_insert_outcome(!inserted &&
@@ -893,8 +893,8 @@ bool CacheManager::adopt_entry(const EntryMeta& meta, const std::string& body) {
     if (!evicted.empty()) ++commit_seq_;
     return false;
   }
-  inserts_.fetch_add(1, std::memory_order_relaxed);
-  handoff_entries_adopted_.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.inserts;
+  ++stats_.handoff_entries_adopted;
   directory_->apply_insert(inserted.value());
   announce_insert(inserted.value());
   ++commit_seq_;
@@ -947,8 +947,7 @@ CacheManager::HandoffStats CacheManager::reannounce_remapped(
       ++stats.records;
     }
   }
-  handoff_records_sent_.fetch_add(stats.records + stats.entries,
-                                  std::memory_order_relaxed);
+  stats_.handoff_records_sent += stats.records + stats.entries;
   return stats;
 }
 
@@ -973,7 +972,7 @@ std::size_t CacheManager::apply_invalidation(const std::string& pattern,
   if (rebroadcast && bus_ != nullptr) {
     bus_->broadcast_invalidate(pattern, stamped_epoch);
   }
-  invalidations_.fetch_add(dropped.size(), std::memory_order_relaxed);
+  stats_.invalidations += dropped.size();
   ++commit_seq_;
   return dropped.size();
 }
@@ -1010,10 +1009,9 @@ std::size_t CacheManager::apply_inv_sync(
         announce_erase(meta.key, meta.version);
       }
       ++applied;
-      inv_epoch_gaps_repaired_.fetch_add(1, std::memory_order_relaxed);
-      invalidations_.fetch_add(dropped.size(), std::memory_order_relaxed);
-      stale_serves_prevented_.fetch_add(dropped.size(),
-                                        std::memory_order_relaxed);
+      ++stats_.inv_epoch_gaps_repaired;
+      stats_.invalidations += dropped.size();
+      stats_.stale_serves_prevented += dropped.size();
     }
     if (truncated) {
       // The peer's log evicted records we needed. Conservatively drop
@@ -1023,10 +1021,9 @@ std::size_t CacheManager::apply_inv_sync(
       for (const auto& meta : dropped) {
         announce_erase(meta.key, meta.version);
       }
-      inv_overflow_purges_.fetch_add(1, std::memory_order_relaxed);
-      invalidations_.fetch_add(dropped.size(), std::memory_order_relaxed);
-      stale_serves_prevented_.fetch_add(dropped.size(),
-                                        std::memory_order_relaxed);
+      ++stats_.inv_overflow_purges;
+      stats_.invalidations += dropped.size();
+      stats_.stale_serves_prevented += dropped.size();
     }
     if (applied > 0 || truncated) ++commit_seq_;
   }
@@ -1155,46 +1152,8 @@ std::uint64_t CacheManager::commit_sequence() const {
 }
 
 ManagerStats CacheManager::stats() const {
-  ManagerStats s;
-  s.lookups = lookups_.load(std::memory_order_relaxed);
-  s.uncacheable = uncacheable_.load(std::memory_order_relaxed);
-  s.local_hits = local_hits_.load(std::memory_order_relaxed);
-  s.remote_hits = remote_hits_.load(std::memory_order_relaxed);
-  s.misses = misses_.load(std::memory_order_relaxed);
-  s.inserts = inserts_.load(std::memory_order_relaxed);
-  s.below_threshold = below_threshold_.load(std::memory_order_relaxed);
-  s.failed_exec = failed_exec_.load(std::memory_order_relaxed);
-  s.false_hits = false_hits_.load(std::memory_order_relaxed);
-  s.false_misses = false_misses_.load(std::memory_order_relaxed);
-  s.evictions_broadcast = evictions_broadcast_.load(std::memory_order_relaxed);
-  s.invalidations = invalidations_.load(std::memory_order_relaxed);
-  s.fallback_executions = fallback_executions_.load(std::memory_order_relaxed);
-  s.remote_dir_lookups = remote_dir_lookups_.load(std::memory_order_relaxed);
-  s.remote_dir_hits = remote_dir_hits_.load(std::memory_order_relaxed);
-  s.peer_queries = peer_queries_.load(std::memory_order_relaxed);
-  s.peer_query_hits = peer_query_hits_.load(std::memory_order_relaxed);
-  s.coalesced_misses = coalesced_misses_.load(std::memory_order_relaxed);
-  s.coalesce_timeouts = coalesce_timeouts_.load(std::memory_order_relaxed);
-  s.failed_fast = failed_fast_.load(std::memory_order_relaxed);
-  s.disk_errors = disk_errors_.load(std::memory_order_relaxed);
-  s.degraded_skips = degraded_skips_.load(std::memory_order_relaxed);
+  ManagerStats s = stats_;
   s.store_degraded = degraded_.load(std::memory_order_relaxed) ? 1 : 0;
-  s.checkpoints = checkpoints_.load(std::memory_order_relaxed);
-  s.checkpoint_failures = checkpoint_failures_.load(std::memory_order_relaxed);
-  s.inv_epoch_gaps_repaired =
-      inv_epoch_gaps_repaired_.load(std::memory_order_relaxed);
-  s.stale_serves_prevented =
-      stale_serves_prevented_.load(std::memory_order_relaxed);
-  s.inv_overflow_purges = inv_overflow_purges_.load(std::memory_order_relaxed);
-  s.membership_transitions =
-      membership_transitions_.load(std::memory_order_relaxed);
-  s.handoff_records_sent =
-      handoff_records_sent_.load(std::memory_order_relaxed);
-  s.handoff_entries_sent =
-      handoff_entries_sent_.load(std::memory_order_relaxed);
-  s.handoff_entries_adopted =
-      handoff_entries_adopted_.load(std::memory_order_relaxed);
-  s.dual_read_probes = dual_read_probes_.load(std::memory_order_relaxed);
   return s;
 }
 

@@ -33,6 +33,7 @@
 #include "common/clock.h"
 #include "common/deadline.h"
 #include "common/hash.h"
+#include "common/stats.h"
 #include "core/consistency.h"
 #include "core/directory.h"
 #include "core/inv_log.h"
@@ -178,87 +179,89 @@ struct LookupResult {
   std::shared_ptr<InFlight> flight;
 };
 
-/// Counters for the experiments (all monotonic).
+/// Counters for the experiments (all monotonic). CacheManager bumps its own
+/// instance in place; stats() returns a copy with the gauge filled in.
 struct ManagerStats {
-  std::uint64_t lookups = 0;
-  std::uint64_t uncacheable = 0;
-  std::uint64_t local_hits = 0;
-  std::uint64_t remote_hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t inserts = 0;
-  std::uint64_t below_threshold = 0;  ///< executed but too fast to cache
-  std::uint64_t failed_exec = 0;      ///< CGI failed; result discarded
-  std::uint64_t false_hits = 0;       ///< remote fetch found entry deleted
-  std::uint64_t false_misses = 0;     ///< duplicate caching detected
-  std::uint64_t evictions_broadcast = 0;
-  std::uint64_t invalidations = 0;    ///< entries dropped by invalidate()
+  Counter lookups;
+  Counter uncacheable;
+  Counter local_hits;
+  Counter remote_hits;
+  Counter misses;
+  Counter inserts;
+  Counter below_threshold;  ///< executed but too fast to cache
+  Counter failed_exec;      ///< CGI failed; result discarded
+  Counter false_hits;       ///< remote fetch found entry deleted
+  Counter false_misses;     ///< duplicate caching detected
+  Counter evictions_broadcast;
+  Counter invalidations;    ///< entries dropped by invalidate()
   /// Remote fetch failed for a reason other than a false hit (timeout, dead
   /// peer, torn connection) and the request fell back to local execution.
-  std::uint64_t fallback_executions = 0;
+  Counter fallback_executions;
 
   // ---- cooperation modes (cluster.directory_mode) ----
   /// Partitioned mode: misses that asked the key's ring owner for the
   /// directory entry (the local table had nothing).
-  std::uint64_t remote_dir_lookups = 0;
+  Counter remote_dir_lookups;
   /// ... of which the owner knew a cached copy.
-  std::uint64_t remote_dir_hits = 0;
+  Counter remote_dir_hits;
   /// Query mode: misses that probed the peers (kQuery multicast).
-  std::uint64_t peer_queries = 0;
+  Counter peer_queries;
   /// ... of which some peer advertised a cached copy.
-  std::uint64_t peer_query_hits = 0;
+  Counter peer_query_hits;
 
   // ---- overload protection (single-flight miss coalescing) ----
   /// Misses that rode another request's in-flight execution instead of
   /// forking their own CGI (success or failure — the waiters got the
   /// leader's result either way).
-  std::uint64_t coalesced_misses = 0;
+  Counter coalesced_misses;
   /// Waiters whose deadline expired before the leader finished; the
   /// request failed fast rather than outliving its budget.
-  std::uint64_t coalesce_timeouts = 0;
+  Counter coalesce_timeouts;
   /// Lookups answered from the per-key negative cache (a recent execution
   /// failure is remembered for `negative_ttl_seconds`, stopping retry
   /// storms on a persistently failing CGI).
-  std::uint64_t failed_fast = 0;
+  Counter failed_fast;
 
   // ---- durability ----
   /// Store inserts that failed with a disk I/O error.
-  std::uint64_t disk_errors = 0;
+  Counter disk_errors;
   /// Inserts skipped because the store is degraded (request still served,
   /// just uncached — the disk equivalent of fallback_executions).
-  std::uint64_t degraded_skips = 0;
-  /// 1 while the store is degraded after `disk_failure_threshold`
-  /// consecutive put failures; probe inserts eventually clear it.
+  Counter degraded_skips;
+  /// Gauge, filled by stats(): 1 while the store is degraded after
+  /// `disk_failure_threshold` consecutive put failures; probe inserts
+  /// eventually clear it.
   std::uint64_t store_degraded = 0;
   /// Successful periodic manifest checkpoints (purge-tick cadence).
-  std::uint64_t checkpoints = 0;
+  Counter checkpoints;
   /// Checkpoint attempts that failed (manifest write error).
-  std::uint64_t checkpoint_failures = 0;
+  Counter checkpoint_failures;
 
   // ---- anti-entropy consistency repair ----
   /// Missed invalidations pulled from a peer via kInvSync and applied
   /// (each one is an invalidation this node would otherwise never see).
-  std::uint64_t inv_epoch_gaps_repaired = 0;
+  Counter inv_epoch_gaps_repaired;
   /// Stale store entries dropped by repaired invalidations — each was a
   /// pre-invalidation version this node would have kept serving until TTL.
-  std::uint64_t stale_serves_prevented = 0;
+  Counter stale_serves_prevented;
   /// Conservative full purges taken because the peer's replay log had
   /// already evicted records this node needed (inv_log_entries too small
   /// for the gap).
-  std::uint64_t inv_overflow_purges = 0;
+  Counter inv_overflow_purges;
 
   // ---- dynamic membership (PR10) ----
   /// Membership transitions applied locally (joins + leaves).
-  std::uint64_t membership_transitions = 0;
+  Counter membership_transitions;
   /// Directory records forwarded to a new ring owner (ring change or
   /// decommission partition handoff) — kOwnerUpdate frames.
-  std::uint64_t handoff_records_sent = 0;
+  Counter handoff_records_sent;
   /// Cached entries shipped to successors at decommission (kInsert handoff).
-  std::uint64_t handoff_entries_sent = 0;
+  Counter handoff_entries_sent;
   /// Handed-off entries this node adopted into its own store.
-  std::uint64_t handoff_entries_adopted = 0;
+  Counter handoff_entries_adopted;
   /// Partitioned lookups that probed the pre-transition ring owner during a
   /// dual-read window.
-  std::uint64_t dual_read_probes = 0;
+  Counter dual_read_probes;
 
   std::uint64_t hits() const { return local_hits + remote_hits; }
 };
@@ -303,7 +306,7 @@ struct ManagerOptions {
   /// Seconds a failed execution is remembered per key; deadline-aware
   /// lookups within the window fail fast (kFailedFast) instead of
   /// re-executing a CGI that just failed. 0 disables the negative cache.
-  double negative_ttl_seconds = 0.0;
+  double negative_ttl_seconds = 1.0;
   /// How directory state is shared across the group (see DirectoryMode).
   /// Every node must agree on the mode, seed and vnode count.
   DirectoryMode directory_mode = DirectoryMode::kReplicated;
@@ -714,17 +717,7 @@ class CacheManager {
   mutable std::mutex commit_mutex_;
   std::uint64_t commit_seq_ = 0;  ///< guarded by commit_mutex_
 
-  std::atomic<std::uint64_t> lookups_{0}, uncacheable_{0}, local_hits_{0},
-      remote_hits_{0}, misses_{0}, inserts_{0}, below_threshold_{0},
-      failed_exec_{0}, false_hits_{0}, false_misses_{0},
-      evictions_broadcast_{0}, invalidations_{0}, fallback_executions_{0},
-      coalesced_misses_{0}, coalesce_timeouts_{0}, failed_fast_{0},
-      remote_dir_lookups_{0}, remote_dir_hits_{0}, peer_queries_{0},
-      peer_query_hits_{0}, inv_epoch_gaps_repaired_{0},
-      stale_serves_prevented_{0}, inv_overflow_purges_{0},
-      membership_transitions_{0}, handoff_records_sent_{0},
-      handoff_entries_sent_{0}, handoff_entries_adopted_{0},
-      dual_read_probes_{0};
+  ManagerStats stats_;
 
   // ---- single-flight state ----
   /// Guards inflight_ and negative_. Never held while waiting: waiters
@@ -744,8 +737,6 @@ class CacheManager {
   std::atomic<bool> restore_pending_{false};
   std::atomic<int> consecutive_put_failures_{0};
   std::atomic<std::uint64_t> degraded_attempts_{0};  ///< probe cadence
-  std::atomic<std::uint64_t> disk_errors_{0}, degraded_skips_{0},
-      checkpoints_{0}, checkpoint_failures_{0};
   /// Guards last_checkpoint_time_ and last_scrub_ (cold path only).
   mutable std::mutex durability_mutex_;
   TimeNs last_checkpoint_time_ = 0;

@@ -123,6 +123,7 @@ void MemoryBackend::erase(StorageId id) {
 
 DiskBackend::DiskBackend(std::string dir, FsOps* fs)
     : dir_(std::move(dir)), fs_(fs != nullptr ? fs : FsOps::real()) {
+  counters_.backend = "files";
   init_status_ = make_dirs(fs_, dir_);
   if (!init_status_.is_ok()) {
     SWALA_LOG(Error) << "cache directory unusable: "
@@ -267,7 +268,7 @@ Result<StorageId> DiskBackend::put(std::string_view data,
   }
   // A put that reached the disk proves it is writable again, so the erase
   // failure run ends here too (mirrors the degradation probe's recovery).
-  consecutive_erase_failures_.store(0, std::memory_order_relaxed);
+  counters_.consecutive_erase_failures = Counter();
   std::lock_guard<std::mutex> lock(mutex_);
   sizes_[id] = data.size();
   key_hashes_[id] = key_hash;
@@ -311,25 +312,19 @@ void DiskBackend::erase(StorageId id) {
     // The entry is gone from the index but its bytes still occupy the disk —
     // a dying disk that fails unlinks would leak space invisibly. Count it
     // and keep a consecutive-failure run for the manager's degradation probe.
-    erase_errors_.fetch_add(1, std::memory_order_relaxed);
-    consecutive_erase_failures_.fetch_add(1, std::memory_order_relaxed);
+    ++counters_.erase_errors;
+    ++counters_.consecutive_erase_failures;
     SWALA_LOG(Warn) << "erase failed to unlink " << path << ": "
                     << std::strerror(errno);
   } else {
-    consecutive_erase_failures_.store(0, std::memory_order_relaxed);
+    counters_.consecutive_erase_failures = Counter();
   }
 }
 
 StorageCounters DiskBackend::counters() const {
-  StorageCounters c;
-  c.backend = "files";
-  c.erase_errors = erase_errors_.load(std::memory_order_relaxed);
-  c.consecutive_erase_failures =
-      consecutive_erase_failures_.load(std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    c.live_bytes = bytes_;
-  }
+  StorageCounters c = counters_;
+  std::lock_guard<std::mutex> lock(mutex_);
+  c.live_bytes = bytes_;
   return c;
 }
 

@@ -20,6 +20,7 @@
 #include <string>
 #include <unordered_map>
 
+#include "common/stats.h"
 #include "common/status.h"
 #include "core/fs_ops.h"
 
@@ -58,10 +59,14 @@ struct ScrubReport {
 /// Operational counters every backend can report; surfaced through
 /// `/swala-status`'s durability object. Fields irrelevant to a backend stay
 /// zero (e.g. MemoryBackend reports all zeros, DiskBackend has no segments).
+/// Each backend keeps one instance and bumps it in place: DiskBackend's
+/// erase counters lock-free, VolumeBackend's fields under its mutex.
 struct StorageCounters {
   const char* backend = "memory";     ///< "memory" | "files" | "volume"
-  std::uint64_t erase_errors = 0;     ///< unlink/erase failures (leaked space)
-  std::uint64_t consecutive_erase_failures = 0;  ///< degradation feed
+  Counter erase_errors;               ///< unlink/erase failures (leaked space)
+  /// Current run of erase failures (the degradation feed); any erase or put
+  /// that reaches the disk ends it.
+  Counter consecutive_erase_failures;
   // Volume-store specific:
   std::uint64_t flushes = 0;             ///< write-buffer flush groups
   std::uint64_t flushed_records = 0;     ///< records made durable by flushes
@@ -212,11 +217,7 @@ class DiskBackend final : public StorageBackend {
   std::uint64_t bytes_ = 0;
   std::atomic<bool> retain_{false};
   std::atomic<std::uint64_t> quarantined_{0};  ///< corrupt files renamed
-  /// Unlink failures from erase(): total, plus a consecutive run the
-  /// manager's degradation probe watches (reset by any erase or put that
-  /// reaches the disk successfully).
-  std::atomic<std::uint64_t> erase_errors_{0};
-  std::atomic<std::uint64_t> consecutive_erase_failures_{0};
+  StorageCounters counters_;  ///< erase counters; live_bytes comes from bytes_
   std::unordered_map<StorageId, std::uint64_t> sizes_;  ///< payload bytes
   std::unordered_map<StorageId, std::uint64_t> key_hashes_;
 };

@@ -94,6 +94,7 @@ VolumeBackend::VolumeBackend(std::string dir, VolumeOptions options, FsOps* fs,
       options_(options),
       fs_(fs != nullptr ? fs : FsOps::real()),
       clock_(clock != nullptr ? clock : RealClock::instance()) {
+  counters_.backend = "volume";
   init_status_ = make_dirs(fs_, dir_);
   if (!init_status_.is_ok()) {
     SWALA_LOG(Error) << "volume directory unusable: "
@@ -225,7 +226,7 @@ void VolumeBackend::recover() {
         if (open_tail) {
           // The crash tore the last flush group; everything from here on is
           // the lost tail. Adopt nothing past the last valid record.
-          ++torn_tail_truncated_;
+          ++counters_.torn_tail_truncated;
           break;
         }
         // Sealed segment: a damaged record. Resync on the next structurally
@@ -241,7 +242,7 @@ void VolumeBackend::recover() {
           next = p;
           break;
         }
-        ++corrupt_records_skipped_;
+        ++counters_.corrupt_records_skipped;
         if (next == std::string::npos) break;
         pos = next;
         continue;
@@ -252,9 +253,9 @@ void VolumeBackend::recover() {
       const std::uint32_t len = get_u32(rh, 32);
       if (pos + kVolumeRecordHeaderSize + len > seg.size()) {
         if (open_tail) {
-          ++torn_tail_truncated_;
+          ++counters_.torn_tail_truncated;
         } else {
-          ++corrupt_records_skipped_;
+          ++counters_.corrupt_records_skipped;
         }
         break;
       }
@@ -263,10 +264,10 @@ void VolumeBackend::recover() {
       if (get_u32(rh, 40) != crc32c(payload)) {
         if (open_tail) {
           // Torn payload in the final flush group.
-          ++torn_tail_truncated_;
+          ++counters_.torn_tail_truncated;
           break;
         }
-        ++corrupt_records_skipped_;
+        ++counters_.corrupt_records_skipped;
         pos += kVolumeRecordHeaderSize + len;
         continue;
       }
@@ -284,10 +285,11 @@ void VolumeBackend::recover() {
     s.write_off = pos;
     s.live_bytes = 0;  // accumulated by adopt()
   }
-  if (torn_tail_truncated_ != 0 || corrupt_records_skipped_ != 0) {
+  const StorageCounters& c = counters_;
+  if (c.torn_tail_truncated != 0 || c.corrupt_records_skipped != 0) {
     SWALA_LOG(Warn) << "volume recovery walk: " << recovered_.size()
-                    << " records recovered, " << corrupt_records_skipped_
-                    << " corrupt skipped, " << torn_tail_truncated_
+                    << " records recovered, " << c.corrupt_records_skipped
+                    << " corrupt skipped, " << c.torn_tail_truncated
                     << " torn tails truncated";
   }
 }
@@ -324,7 +326,7 @@ void VolumeBackend::load_sidecar_index() {
   };
   const std::string_view header = next_line();
   if (header != "swala-volindex 1") {
-    ++index_mismatches_;
+    ++counters_.index_mismatches;
     return;
   }
   while (pos < content.size()) {
@@ -335,18 +337,18 @@ void VolumeBackend::load_sidecar_index() {
                     reinterpret_cast<unsigned long long*>(&id),
                     reinterpret_cast<unsigned long long*>(&offset),
                     reinterpret_cast<unsigned long long*>(&len)) != 3) {
-      ++index_mismatches_;
+      ++counters_.index_mismatches;
       continue;
     }
     const auto it = recovered_.find(id);
     if (it == recovered_.end() || it->second.offset != offset ||
         it->second.payload_len != len) {
-      ++index_mismatches_;
+      ++counters_.index_mismatches;
     }
   }
-  if (index_mismatches_ != 0) {
+  if (counters_.index_mismatches != 0) {
     SWALA_LOG(Warn) << "volume sidecar index disagrees with recovery walk on "
-                    << index_mismatches_ << " entries (walk wins)";
+                    << counters_.index_mismatches << " entries (walk wins)";
   }
 }
 
@@ -425,7 +427,7 @@ Status VolumeBackend::flush_locked() {
       it->second.slot = active_slot_;
       it->second.offset = buffer_disk_base_ + rec.buf_off;
       seg.live_bytes += kVolumeRecordHeaderSize + rec.payload_len;
-      ++flushed_records_;
+      ++counters_.flushed_records;
     } else {
       // Erased (or failed) while buffered: its bytes land on disk dead.
       dead_bytes_ += kVolumeRecordHeaderSize + rec.payload_len;
@@ -435,7 +437,7 @@ Status VolumeBackend::flush_locked() {
   buffer_disk_base_ += buffer_.size();
   buffer_.clear();
   buffered_.clear();
-  ++flushes_;
+  ++counters_.flushes;
   last_flush_ = clock_->now();
 
   if (!compacting_) {
@@ -471,7 +473,7 @@ Status VolumeBackend::compact_locked() {
   Segment& seg = segments_[victim];
   if (seg.live_bytes == 0) {
     seg.state = seg.readers > 0 ? SegState::kDraining : SegState::kFree;
-    ++compactions_;
+    ++counters_.compactions;
     return done(Status::ok());
   }
 
@@ -503,7 +505,7 @@ Status VolumeBackend::compact_locked() {
         get_u32(rh, 40) != crc32c(payload)) {
       // Bit rot since the record was written; drop it rather than copy
       // garbage forward under a fresh checksum.
-      ++corrupt_records_skipped_;
+      ++counters_.corrupt_records_skipped;
       bytes_ -= m.entry.payload_len;
       seg.live_bytes -= kVolumeRecordHeaderSize + m.entry.payload_len;
       index_.erase(m.id);
@@ -522,8 +524,8 @@ Status VolumeBackend::compact_locked() {
   }
   seg.live_bytes = 0;
   seg.state = seg.readers > 0 ? SegState::kDraining : SegState::kFree;
-  ++compactions_;
-  compacted_records_ += moved;
+  ++counters_.compactions;
+  counters_.compacted_records += moved;
   return done(Status::ok());
 }
 
@@ -688,7 +690,7 @@ ScrubReport VolumeBackend::scrub() {
   std::lock_guard<std::mutex> lock(mutex_);
   ScrubReport report;
   report.adopted = adopted_;
-  report.quarantined = corrupt_records_skipped_;
+  report.quarantined = counters_.corrupt_records_skipped;
   // Records the walk found but no manifest claimed: drop them as dead
   // bytes; compaction reclaims the space. Nothing valid is quarantined.
   report.orphans_removed = recovered_.size();
@@ -703,11 +705,11 @@ ScrubReport VolumeBackend::scrub() {
     }
   }
   if (report.orphans_removed != 0 || report.quarantined != 0 ||
-      torn_tail_truncated_ != 0) {
+      counters_.torn_tail_truncated != 0) {
     SWALA_LOG(Info) << "volume scrub: " << report.adopted << " adopted, "
                     << report.quarantined << " corrupt records skipped, "
                     << report.orphans_removed << " orphans dropped, "
-                    << torn_tail_truncated_ << " torn tails truncated";
+                    << counters_.torn_tail_truncated << " torn tails truncated";
   }
   return report;
 }
@@ -733,15 +735,7 @@ Status VolumeBackend::sync() {
 
 StorageCounters VolumeBackend::counters() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  StorageCounters c;
-  c.backend = "volume";
-  c.flushes = flushes_;
-  c.flushed_records = flushed_records_;
-  c.compactions = compactions_;
-  c.compacted_records = compacted_records_;
-  c.corrupt_records_skipped = corrupt_records_skipped_;
-  c.torn_tail_truncated = torn_tail_truncated_;
-  c.index_mismatches = index_mismatches_;
+  StorageCounters c = counters_;
   c.segments_total = slot_count_;
   for (const Segment& s : segments_) {
     if (s.state == SegState::kFree) ++c.segments_free;

@@ -178,14 +178,9 @@ class VolumeBackend final : public StorageBackend {
 
   std::atomic<bool> retain_{false};
 
-  // Counters (guarded by mutex_ where written on hot paths).
-  std::uint64_t flushes_ = 0;
-  std::uint64_t flushed_records_ = 0;
-  std::uint64_t compactions_ = 0;
-  std::uint64_t compacted_records_ = 0;
-  std::uint64_t corrupt_records_skipped_ = 0;
-  std::uint64_t torn_tail_truncated_ = 0;
-  std::uint64_t index_mismatches_ = 0;
+  /// Flush/compaction/recovery counters (guarded by mutex_ where written on
+  /// hot paths); counters() fills the segment and byte gauges on a copy.
+  StorageCounters counters_;
   std::uint64_t adopted_ = 0;
 };
 

@@ -41,7 +41,7 @@ class MiniServer {
 
   std::uint16_t port() const { return listener_.local_port(); }
   net::InetAddress address() const { return {"127.0.0.1", port()}; }
-  ServerStats stats() const { return snapshot(counters_); }
+  ServerStats stats() const { return counters_; }
 
  private:
   void accept_loop();
@@ -49,7 +49,7 @@ class MiniServer {
   BaselineOptions options_;
   std::shared_ptr<cgi::HandlerRegistry> registry_;
   ServeContext ctx_;
-  ServerCounters counters_;
+  ServerStats counters_;
   net::TcpListener listener_;
   std::atomic<bool> running_{false};
   std::thread acceptor_;
@@ -87,7 +87,7 @@ class ForkingServer {
   BaselineOptions options_;
   std::shared_ptr<cgi::HandlerRegistry> registry_;
   ServeContext ctx_;
-  ServerCounters counters_;
+  ServerStats counters_;
   net::TcpListener listener_;
   std::atomic<bool> running_{false};
   std::thread acceptor_;

@@ -18,10 +18,6 @@ namespace {
 
 constexpr std::string_view kServerName = "Swala/1.0";
 
-void count(ServerCounters* c, std::atomic<std::uint64_t> ServerCounters::*field) {
-  if (c != nullptr) (c->*field).fetch_add(1, std::memory_order_relaxed);
-}
-
 /// Memory-mapped static file serving (§4: "We use memory-mapped I/O
 /// whenever possible to minimize the number of system calls and eliminate
 /// double-buffering"). The response head and the mapped body are written
@@ -67,7 +63,7 @@ http::Response run_dynamic(const http::Request& request,
                            const cgi::CgiHandlerPtr& handler,
                            const ServeContext& ctx,
                            const Deadline& deadline) {
-  count(ctx.counters, &ServerCounters::dynamic_requests);
+  if (ctx.counters != nullptr) ++ctx.counters->dynamic_requests;
 
   core::RuleDecision rule;
   bool leader = false;  // single-flight: this request owns the execution
@@ -79,11 +75,6 @@ http::Response run_dynamic(const http::Request& request,
       lookup = ctx.cache->await(std::move(lookup), deadline);
     }
     if (lookup.outcome == core::LookupOutcome::kHit) {
-      if (lookup.remote) {
-        count(ctx.counters, &ServerCounters::cache_hits_remote);
-      } else {
-        count(ctx.counters, &ServerCounters::cache_hits_local);
-      }
       const char* state = lookup.coalesced ? "hit-coalesced"
                           : lookup.remote  ? "hit-remote"
                                            : "hit-local";
@@ -94,7 +85,7 @@ http::Response run_dynamic(const http::Request& request,
     if (lookup.outcome == core::LookupOutcome::kFailedFast) {
       // Negative-cached, coalesced onto a leader that failed, or deadline
       // expired waiting: fail fast instead of piling on.
-      count(ctx.counters, &ServerCounters::errors);
+      if (ctx.counters != nullptr) ++ctx.counters->errors;
       http::Response resp = overload_response(
           lookup.fail_status, lookup.fail_reason, ctx.retry_after_seconds);
       resp.headers.set("X-Swala-Cache", "failed-fast");
@@ -114,7 +105,7 @@ http::Response run_dynamic(const http::Request& request,
   };
 
   if (deadline.expired()) {
-    count(ctx.counters, &ServerCounters::deadline_exceeded);
+    if (ctx.counters != nullptr) ++ctx.counters->deadline_exceeded;
     bail(503, "deadline expired before execution", /*remember=*/false);
     return overload_response(503, "deadline expired",
                              ctx.retry_after_seconds);
@@ -124,7 +115,7 @@ http::Response run_dynamic(const http::Request& request,
   // wait counts against the deadline) and shed if no slot frees in time.
   cgi::ExecSlot slot(ctx.cgi_gate, deadline);
   if (!slot.acquired()) {
-    count(ctx.counters, &ServerCounters::requests_shed);
+    if (ctx.counters != nullptr) ++ctx.counters->requests_shed;
     bail(503, "CGI concurrency gate timeout", /*remember=*/false);
     return overload_response(503, "server busy", ctx.retry_after_seconds);
   }
@@ -138,7 +129,7 @@ http::Response run_dynamic(const http::Request& request,
   const double exec_seconds = to_seconds(clock->now() - start);
 
   if (!output) {
-    count(ctx.counters, &ServerCounters::errors);
+    if (ctx.counters != nullptr) ++ctx.counters->errors;
     bail(500, output.status().to_string(), /*remember=*/true);
     return http::Response::error(500, output.status().to_string());
   }
@@ -150,7 +141,7 @@ http::Response run_dynamic(const http::Request& request,
                         exec_seconds);
   }
   if (!output.value().success) {
-    count(ctx.counters, &ServerCounters::errors);
+    if (ctx.counters != nullptr) ++ctx.counters->errors;
   }
   return dynamic_response(std::move(output.value().body),
                           output.value().content_type,
@@ -159,7 +150,7 @@ http::Response run_dynamic(const http::Request& request,
 
 http::Response serve_static(const http::Request& request,
                             const ServeContext& ctx) {
-  count(ctx.counters, &ServerCounters::static_requests);
+  if (ctx.counters != nullptr) ++ctx.counters->static_requests;
   if (ctx.docroot.empty()) return http::Response::error(404);
 
   auto full = resolve_static_path(ctx.docroot, request.uri.path);
@@ -224,7 +215,7 @@ http::Response serve_status(const ServeContext& ctx) {
   body += ctx.io_model != nullptr ? ctx.io_model : "threads";
   body += "\",\n";
   if (ctx.counters != nullptr) {
-    const ServerStats s = snapshot(*ctx.counters);
+    const ServerStats s = *ctx.counters;
     body += json_u64("connections", s.connections);
     body += json_u64("requests", s.requests);
     body += json_u64("static_requests", s.static_requests);
@@ -542,7 +533,7 @@ void record_exchange(const ServeContext& ctx, const http::Request& request,
 http::Response handle_request(const http::Request& request,
                               const ServeContext& ctx,
                               const Deadline& deadline) {
-  count(ctx.counters, &ServerCounters::requests);
+  if (ctx.counters != nullptr) ++ctx.counters->requests;
 
   if (request.method != http::Method::kGet &&
       request.method != http::Method::kHead &&
@@ -570,17 +561,15 @@ http::Response handle_request(const http::Request& request,
 }
 
 void handle_connection(net::TcpStream stream, const ServeContext& ctx) {
-  count(ctx.counters, &ServerCounters::connections);
   if (ctx.counters != nullptr) {
-    ctx.counters->active_connections.fetch_add(1, std::memory_order_relaxed);
+    ++ctx.counters->connections;
+    ++ctx.counters->active_connections;
   }
   // Gauge decrement on every exit path (there are many returns below).
   struct ActiveGuard {
-    ServerCounters* c;
+    ServerStats* c;
     ~ActiveGuard() {
-      if (c != nullptr) {
-        c->active_connections.fetch_sub(1, std::memory_order_relaxed);
-      }
+      if (c != nullptr) --c->active_connections;
     }
   } active_guard{ctx.counters};
 
@@ -622,7 +611,7 @@ void handle_connection(net::TcpStream stream, const ServeContext& ctx) {
     int idle_ms = 0;
     while (state == http::ParseState::kNeedMore) {
       if (deadline.expired()) {
-        count(ctx.counters, &ServerCounters::deadline_exceeded);
+        if (ctx.counters != nullptr) ++ctx.counters->deadline_exceeded;
         const auto resp = http::Response::error(408, "request deadline");
         (void)stream.write_vec(resp.serialize_head(), resp.body);
         return;
@@ -677,36 +666,17 @@ void handle_connection(net::TcpStream stream, const ServeContext& ctx) {
     const std::string head = resp.serialize_head();
     if (!stream.write_vec(head, resp.body).is_ok()) {
       if (deadline.expired()) {
-        count(ctx.counters, &ServerCounters::deadline_exceeded);
+        if (ctx.counters != nullptr) ++ctx.counters->deadline_exceeded;
       }
       return;
     }
     if (ctx.counters != nullptr) {
-      ctx.counters->bytes_sent.fetch_add(head.size() + resp.body.size(),
-                                         std::memory_order_relaxed);
+      ctx.counters->bytes_sent += head.size() + resp.body.size();
     }
     ++served;
     if (!keep) return;
     parser.reset();
   }
-}
-
-ServerStats snapshot(const ServerCounters& counters) {
-  ServerStats s;
-  s.connections = counters.connections.load(std::memory_order_relaxed);
-  s.requests = counters.requests.load(std::memory_order_relaxed);
-  s.static_requests = counters.static_requests.load(std::memory_order_relaxed);
-  s.dynamic_requests = counters.dynamic_requests.load(std::memory_order_relaxed);
-  s.cache_hits_local = counters.cache_hits_local.load(std::memory_order_relaxed);
-  s.cache_hits_remote = counters.cache_hits_remote.load(std::memory_order_relaxed);
-  s.errors = counters.errors.load(std::memory_order_relaxed);
-  s.bytes_sent = counters.bytes_sent.load(std::memory_order_relaxed);
-  s.requests_shed = counters.requests_shed.load(std::memory_order_relaxed);
-  s.deadline_exceeded =
-      counters.deadline_exceeded.load(std::memory_order_relaxed);
-  s.active_connections =
-      counters.active_connections.load(std::memory_order_relaxed);
-  return s;
 }
 
 }  // namespace swala::server

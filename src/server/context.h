@@ -44,40 +44,25 @@ class LatencyRecorder {
   LatencyHistogram histogram_;
 };
 
-/// Live counters exported by all server flavours.
-struct ServerCounters {
-  std::atomic<std::uint64_t> connections{0};
-  std::atomic<std::uint64_t> requests{0};
-  std::atomic<std::uint64_t> static_requests{0};
-  std::atomic<std::uint64_t> dynamic_requests{0};
-  std::atomic<std::uint64_t> cache_hits_local{0};
-  std::atomic<std::uint64_t> cache_hits_remote{0};
-  std::atomic<std::uint64_t> errors{0};
-  std::atomic<std::uint64_t> bytes_sent{0};
+/// Live counters exported by all server flavours. Each server owns one and
+/// its request paths bump it in place through ServeContext::counters;
+/// stats() returns a copy.
+struct ServerStats {
+  Counter connections;
+  Counter requests;
+  Counter static_requests;
+  Counter dynamic_requests;
+  Counter errors;
+  Counter bytes_sent;
   // ---- overload protection ----
   /// Requests/connections refused with a fast 503 (admission control at
   /// accept, full dispatch queue, or CGI gate timeout).
-  std::atomic<std::uint64_t> requests_shed{0};
+  Counter requests_shed;
   /// Requests cut because their deadline expired (slow-loris 408, stalled
   /// response write, budget exhausted before execution).
-  std::atomic<std::uint64_t> deadline_exceeded{0};
+  Counter deadline_exceeded;
   /// Connections currently inside handle_connection (gauge, not monotonic).
-  std::atomic<std::uint64_t> active_connections{0};
-};
-
-/// Plain-value snapshot of ServerCounters.
-struct ServerStats {
-  std::uint64_t connections = 0;
-  std::uint64_t requests = 0;
-  std::uint64_t static_requests = 0;
-  std::uint64_t dynamic_requests = 0;
-  std::uint64_t cache_hits_local = 0;
-  std::uint64_t cache_hits_remote = 0;
-  std::uint64_t errors = 0;
-  std::uint64_t bytes_sent = 0;
-  std::uint64_t requests_shed = 0;
-  std::uint64_t deadline_exceeded = 0;
-  std::uint64_t active_connections = 0;
+  Counter active_connections;
 };
 
 /// Everything a connection handler needs. Owned by the server object;
@@ -111,7 +96,7 @@ struct ServeContext {
   bool enable_admin = false;
   int recv_timeout_ms = 15000;
   std::size_t max_keep_alive_requests = 1000;
-  ServerCounters* counters = nullptr;
+  ServerStats* counters = nullptr;  ///< null = uncounted
   /// When set, handlers abandon idle keep-alive connections as soon as the
   /// flag goes false, so server shutdown never waits out recv_timeout_ms.
   const std::atomic<bool>* running = nullptr;
@@ -170,8 +155,5 @@ bool finalize_response(const http::Request& request, const ServeContext& ctx,
 void record_exchange(const ServeContext& ctx, const http::Request& request,
                      const http::Response& resp, TimeNs handle_start,
                      const Clock* clock);
-
-/// Snapshot helper.
-ServerStats snapshot(const ServerCounters& counters);
 
 }  // namespace swala::server

@@ -284,11 +284,10 @@ Result<std::unique_ptr<SwalaNode>> SwalaNode::from_config(
         config.get_double("cache", "checkpoint_interval", 10.0);
     mo.disk_failure_threshold =
         static_cast<int>(config.get_int("cache", "disk_failure_threshold", 5));
-    // Negative cache defaults ON for deployments: a persistently failing
-    // CGI answers from memory for a second instead of forking a retry
-    // storm. (ManagerOptions itself defaults it off so directly-built test
-    // managers keep legacy semantics.)
-    mo.negative_ttl_seconds = config.get_double("cache", "negative_ttl", 1.0);
+    // A persistently failing CGI answers from memory for a second instead
+    // of forking a retry storm.
+    mo.negative_ttl_seconds = config.get_double("cache", "negative_ttl",
+                                                mo.negative_ttl_seconds);
     // Bounded invalidation replay log (per-origin); peers that fall further
     // behind than this resync with a conservative full purge.
     mo.inv_log_entries = static_cast<std::size_t>(

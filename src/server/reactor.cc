@@ -201,9 +201,8 @@ void EpollReactor::accept_ready() {
     Conn* raw = conn.get();
     conns_.emplace(raw->id, std::move(conn));
     if (ctx_->counters != nullptr) {
-      ctx_->counters->connections.fetch_add(1, std::memory_order_relaxed);
-      ctx_->counters->active_connections.fetch_add(1,
-                                                   std::memory_order_relaxed);
+      ++ctx_->counters->connections;
+      ++ctx_->counters->active_connections;
     }
     if (auto st = poller_.add(raw->stream.raw_fd(), EPOLLIN, raw->id);
         !st.is_ok()) {
@@ -219,9 +218,8 @@ void EpollReactor::accept_ready() {
 bool EpollReactor::should_shed() {
   if (options_.max_connections == 0) return false;
   const std::uint64_t active =
-      ctx_->counters != nullptr
-          ? ctx_->counters->active_connections.load(std::memory_order_relaxed)
-          : conns_.size();
+      ctx_->counters != nullptr ? ctx_->counters->active_connections
+                                : conns_.size();
   if (shedding_) {
     const std::uint64_t resume =
         options_.max_connections *
@@ -245,9 +243,7 @@ bool EpollReactor::should_shed() {
 }
 
 void EpollReactor::shed_new_connection(net::TcpStream stream) {
-  if (ctx_->counters != nullptr) {
-    ctx_->counters->requests_shed.fetch_add(1, std::memory_order_relaxed);
-  }
+  if (ctx_->counters != nullptr) ++ctx_->counters->requests_shed;
   http::Response resp = overload_response(503, "server at connection limit",
                                           ctx_->retry_after_seconds);
   // One non-blocking attempt: the 503 fits in a fresh socket buffer, and a
@@ -263,9 +259,7 @@ EpollReactor::Conn* EpollReactor::find(std::uint64_t id) {
 
 void EpollReactor::close_conn(Conn* conn) {
   wheel_.cancel(conn->id);
-  if (ctx_->counters != nullptr) {
-    ctx_->counters->active_connections.fetch_sub(1, std::memory_order_relaxed);
-  }
+  if (ctx_->counters != nullptr) --ctx_->counters->active_connections;
   // Closing the fd (Conn destructor) deregisters it from epoll implicitly.
   conns_.erase(conn->id);
 }
@@ -322,9 +316,7 @@ void EpollReactor::dispatch(Conn* conn) {
   job.deadline = conn->deadline;
   if (!jobs_.try_push(std::move(job))) {
     // Worker pool hopelessly behind: shed rather than block the loop.
-    if (ctx_->counters != nullptr) {
-      ctx_->counters->requests_shed.fetch_add(1, std::memory_order_relaxed);
-    }
+    if (ctx_->counters != nullptr) ++ctx_->counters->requests_shed;
     respond_and_close(conn, overload_response(503, "server busy",
                                               ctx_->retry_after_seconds));
   }
@@ -423,8 +415,7 @@ void EpollReactor::drive_write(Conn* conn) {
 
   // Response fully written.
   if (ctx_->counters != nullptr) {
-    ctx_->counters->bytes_sent.fetch_add(conn->head.size() + conn->body.size(),
-                                         std::memory_order_relaxed);
+    ctx_->counters->bytes_sent += conn->head.size() + conn->body.size();
   }
   ++conn->served;
   wheel_.cancel(conn->id);
@@ -501,10 +492,7 @@ void EpollReactor::handle_timer(std::uint64_t id, TimeNs now) {
       if (conn->deadline_at != 0 && now >= conn->deadline_at &&
           conn->parser.mid_request()) {
         // Slow loris: the request budget expired before the request did.
-        if (ctx_->counters != nullptr) {
-          ctx_->counters->deadline_exceeded.fetch_add(
-              1, std::memory_order_relaxed);
-        }
+        if (ctx_->counters != nullptr) ++ctx_->counters->deadline_exceeded;
         respond_and_close(conn,
                           http::Response::error(408, "request deadline"));
         return;
@@ -522,8 +510,7 @@ void EpollReactor::handle_timer(std::uint64_t id, TimeNs now) {
         // Stalled reader: the peer stopped draining our response. Count it
         // against the deadline only when a request budget was armed.
         if (conn->deadline_at != 0 && ctx_->counters != nullptr) {
-          ctx_->counters->deadline_exceeded.fetch_add(
-              1, std::memory_order_relaxed);
+          ++ctx_->counters->deadline_exceeded;
         }
         close_conn(conn);
         return;

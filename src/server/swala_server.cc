@@ -135,16 +135,13 @@ bool SwalaServer::drain() {
   }
   SWALA_LOG(Info) << "SwalaServer draining: waiting up to "
                   << options_.drain_timeout_ms << "ms for "
-                  << counters_.active_connections.load(
-                         std::memory_order_relaxed)
-                  << " active connections";
+                  << counters_.active_connections << " active connections";
   const auto give_up = std::chrono::steady_clock::now() +
                        std::chrono::milliseconds(options_.drain_timeout_ms);
-  while (counters_.active_connections.load(std::memory_order_relaxed) > 0) {
+  while (counters_.active_connections > 0) {
     if (std::chrono::steady_clock::now() >= give_up) {
       SWALA_LOG(Warn) << "drain timeout: "
-                      << counters_.active_connections.load(
-                             std::memory_order_relaxed)
+                      << counters_.active_connections
                       << " connections still active; stopping anyway";
       return false;
     }
@@ -155,8 +152,7 @@ bool SwalaServer::drain() {
 
 bool SwalaServer::should_shed() {
   if (options_.max_connections == 0) return false;
-  const auto active =
-      counters_.active_connections.load(std::memory_order_relaxed);
+  const std::uint64_t active = counters_.active_connections;
   if (shedding_.load(std::memory_order_relaxed)) {
     const std::size_t resume =
         options_.max_connections *
@@ -180,7 +176,7 @@ bool SwalaServer::should_shed() {
 }
 
 void SwalaServer::shed_connection(net::TcpStream stream) {
-  counters_.requests_shed.fetch_add(1, std::memory_order_relaxed);
+  ++counters_.requests_shed;
   http::Response resp = overload_response(503, "server at connection limit",
                                           options_.retry_after_seconds);
   (void)stream.set_send_timeout(1000);

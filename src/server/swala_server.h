@@ -115,7 +115,7 @@ class SwalaServer {
   std::uint16_t port() const { return listener_.local_port(); }
   net::InetAddress address() const { return {"127.0.0.1", port()}; }
 
-  ServerStats stats() const { return snapshot(counters_); }
+  ServerStats stats() const { return counters_; }
   core::CacheManager* cache() const { return ctx_.cache; }
 
   /// Wires the cluster group so /swala-status reports per-peer health.
@@ -155,7 +155,7 @@ class SwalaServer {
   SwalaServerOptions options_;
   std::shared_ptr<cgi::HandlerRegistry> registry_;
   ServeContext ctx_;
-  ServerCounters counters_;
+  ServerStats counters_;
   AccessLog access_log_;
   LatencyRecorder latency_;
   std::unique_ptr<cgi::ExecGate> cgi_gate_;

@@ -265,8 +265,9 @@ void issue_next(SimState* st, std::size_t s) {
     }
 
     case core::LookupOutcome::kFailedFast:
-      // Unreached: the simulated nodes keep no negative cache and never
-      // wait under a finite deadline. Answer like a rejected request.
+      // Unreached: simulated executions never fail, so the negative cache
+      // stays empty, and no request waits under a finite deadline. Answer
+      // like a rejected request.
       submit(pressure * costs.per_request_overhead,
              [st, s, issued_at] { finish_request(st, s, issued_at); });
       return;

@@ -450,6 +450,7 @@ TEST(ProcessCgiTest, FailedExecutionIsNotCached) {
   core::RuleDecision d;
   d.cacheable = true;
   mo.rules.add_rule("/cgi-bin/*", d);
+  mo.negative_ttl_seconds = 0.0;  // the retry below must re-execute
   core::CacheManager manager(0, 1, std::move(mo), RealClock::instance());
 
   const auto req = make_request("/cgi-bin/broken");

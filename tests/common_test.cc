@@ -1,10 +1,12 @@
 // Unit tests for swala_common: status, strings, config, hash, rng, stats,
-// queue, thread pool, clocks.
+// queue, clocks.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <set>
 #include <thread>
+#include <vector>
 
 #include "common/clock.h"
 #include "common/config.h"
@@ -14,7 +16,6 @@
 #include "common/stats.h"
 #include "common/status.h"
 #include "common/strings.h"
-#include "common/thread_pool.h"
 
 namespace swala {
 namespace {
@@ -357,6 +358,68 @@ TEST(TablePrinterTest, AlignsColumns) {
   EXPECT_NE(out.find("| longer | 22    |"), std::string::npos);
 }
 
+TEST(CounterTest, CopyReadsCurrentValue) {
+  Counter c;
+  EXPECT_EQ(c, 0u);
+  ++c;
+  c += 4;
+  const Counter copy = c;
+  ++c;
+  EXPECT_EQ(copy, 5u);
+  EXPECT_EQ(c, 6u);
+  Counter assigned;
+  assigned = c;
+  EXPECT_EQ(assigned, 6u);
+}
+
+TEST(CounterTest, GaugeOperators) {
+  Counter g;
+  g += 10;
+  --g;
+  g -= 4;
+  EXPECT_EQ(g, 5u);
+  const std::uint64_t read = g;
+  EXPECT_EQ(read + g, 10u);
+}
+
+// A struct of Counters is the live storage and its own snapshot type:
+// copies taken while writers run never tear a field, and a copy after the
+// writers join sums exactly.
+TEST(CounterTest, StructCopySumsExactlyAfterConcurrentIncrements) {
+  struct Stats {
+    Counter events;
+    Counter bytes;
+  };
+  Stats live;
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kIters = 20000;
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    std::uint64_t last = 0;
+    while (!done.load()) {
+      const Stats snap = live;
+      EXPECT_GE(snap.events, last);
+      EXPECT_LE(snap.events, kThreads * kIters);
+      last = snap.events;
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&] {
+      for (std::uint64_t i = 0; i < kIters; ++i) {
+        ++live.events;
+        live.bytes += 3;
+      }
+    });
+  }
+  for (auto& w : writers) w.join();
+  done.store(true);
+  reader.join();
+  const Stats final_copy = live;
+  EXPECT_EQ(final_copy.events, kThreads * kIters);
+  EXPECT_EQ(final_copy.bytes, 3 * kThreads * kIters);
+}
+
 // ---- queue ----
 
 TEST(BoundedQueueTest, FifoOrder) {
@@ -407,30 +470,6 @@ TEST(BoundedQueueTest, ProducerConsumerStress) {
   producer.join();
   consumer.join();
   EXPECT_EQ(sum.load(), static_cast<long>(kItems) * (kItems + 1) / 2);
-}
-
-// ---- thread pool ----
-
-TEST(ThreadPoolTest, RunsSubmittedWork) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&] { counter.fetch_add(1); });
-  }
-  pool.shutdown();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPoolTest, FuturesDeliverResults) {
-  ThreadPool pool(2);
-  auto f = pool.submit_with_result([] { return 6 * 7; });
-  EXPECT_EQ(f.get(), 42);
-}
-
-TEST(ThreadPoolTest, SubmitAfterShutdownFails) {
-  ThreadPool pool(1);
-  pool.shutdown();
-  EXPECT_FALSE(pool.submit([] {}));
 }
 
 // ---- clock ----

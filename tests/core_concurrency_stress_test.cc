@@ -131,6 +131,68 @@ TEST(CommitProtocolStress, EvictionChurnKeepsMirrorWithBus) {
   EXPECT_EQ(bus.inserts.size(), manager.stats().inserts);
 }
 
+// ManagerStats is both the live counters and the snapshot stats() copies:
+// a reader looping stats() while request threads run lookup/await/complete
+// must see every field move forward only, and the final copy must equal
+// the work the threads did, outcome by outcome.
+TEST(StatsSnapshotStress, SnapshotsWhileRequestsRunAddUp) {
+  CacheManager manager(0, 1, churn_options(1000), RealClock::instance());
+  constexpr int kThreads = 4;
+  constexpr int kOps = 1500;
+  std::atomic<std::uint64_t> hits{0}, leaders{0}, coalesced{0};
+  std::atomic<bool> done{false};
+  std::uint64_t snapshots = 0;
+  std::thread reader([&] {
+    ManagerStats last;
+    while (!done.load()) {
+      const ManagerStats s = manager.stats();
+      EXPECT_GE(s.lookups, last.lookups);
+      EXPECT_GE(s.local_hits, last.local_hits);
+      EXPECT_GE(s.misses, last.misses);
+      EXPECT_GE(s.inserts, last.inserts);
+      last = s;
+      ++snapshots;
+    }
+  });
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      Rng rng(4242 + static_cast<std::uint64_t>(t));
+      for (int op = 0; op < kOps; ++op) {
+        const auto uri = uri_of("/cgi-bin/q?k=" +
+                                std::to_string(rng.uniform_int(0, 63)));
+        auto lookup = manager.lookup(http::Method::kGet, uri, Deadline());
+        if (lookup.outcome == LookupOutcome::kMissMustExecute) {
+          leaders.fetch_add(1);
+          manager.complete(http::Method::kGet, uri, lookup.rule,
+                           ok_output(64), 1.0);
+        } else if (lookup.outcome == LookupOutcome::kPending) {
+          lookup = manager.await(std::move(lookup), Deadline());
+          ASSERT_EQ(lookup.outcome, LookupOutcome::kHit);
+          ASSERT_TRUE(lookup.coalesced);
+          coalesced.fetch_add(1);
+        } else {
+          ASSERT_EQ(lookup.outcome, LookupOutcome::kHit);
+          hits.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  done.store(true);
+  reader.join();
+
+  const ManagerStats s = manager.stats();
+  EXPECT_GT(snapshots, 0u);
+  EXPECT_EQ(s.lookups, static_cast<std::uint64_t>(kThreads * kOps));
+  EXPECT_EQ(s.local_hits, hits.load());
+  EXPECT_EQ(s.misses, leaders.load() + coalesced.load());
+  EXPECT_EQ(s.coalesced_misses, coalesced.load());
+  EXPECT_EQ(s.inserts, leaders.load());
+  EXPECT_EQ(s.hits() + s.misses, s.lookups);
+  EXPECT_EQ(s.remote_hits + s.uncacheable + s.failed_fast, 0u);
+}
+
 // Deterministic regression for the eviction-victim version race: a victim's
 // erase used to be broadcast with a version read outside the commit
 // section, and per-key versions restarted at 1 after an erase, so a stale

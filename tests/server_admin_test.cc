@@ -2,6 +2,11 @@
 // /swala-admin/invalidate (application-driven invalidation over HTTP).
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <regex>
+#include <string>
+#include <vector>
+
 #include "cgi/registry.h"
 #include "cgi/scripted.h"
 #include "cluster/local_cluster.h"
@@ -205,6 +210,94 @@ TEST(AdminClusterTest, ClusterConsistencyEndpointRunsGlobalOracle) {
   EXPECT_NE(broken.value().body.find("\"stale\": 1"), std::string::npos)
       << broken.value().body;
   server.stop();
+}
+
+// Every key /swala-status prints, in order, for the richest configuration:
+// clustered (cluster_* keys and one cluster_peers entry), disk-backed (the
+// durability object), CGI gate on, after one miss and one hit. Tests, CI and
+// operators parse these names, so dropping or renaming one must fail here.
+TEST(AdminClusterTest, StatusKeysArePinned) {
+  const std::string dir = "/tmp/swala_admin_status_keys";
+  std::filesystem::remove_all(dir);
+  cluster::LocalCluster cluster(2, [&dir](core::NodeId id) {
+    core::ManagerOptions mo = cache_options();
+    mo.disk_dir = dir + "/node" + std::to_string(id);
+    return mo;
+  });
+
+  SwalaServerOptions options;
+  options.request_threads = 2;
+  options.enable_admin = true;
+  options.max_concurrent_cgi = 2;
+  SwalaServer server(options, make_registry(), &cluster.manager(0));
+  server.set_group(&cluster.group(0));
+  ASSERT_TRUE(server.start().is_ok());
+
+  std::vector<std::string> keys;
+  {
+    http::HttpClient client(server.address());
+    auto miss = client.get("/cgi-bin/pin?q=1");
+    ASSERT_TRUE(miss.is_ok());
+    EXPECT_EQ(miss.value().headers.get("X-Swala-Cache"), "miss");
+    auto hit = client.get("/cgi-bin/pin?q=1");
+    ASSERT_TRUE(hit.is_ok());
+    EXPECT_EQ(hit.value().headers.get("X-Swala-Cache"), "hit-local");
+    auto status = client.get("/swala-status");
+    ASSERT_TRUE(status.is_ok());
+    ASSERT_EQ(status.value().status, 200);
+    const std::string& body = status.value().body;
+    const std::regex key_re("\"([a-z0-9_]+)\":");
+    for (auto it = std::sregex_iterator(body.begin(), body.end(), key_re);
+         it != std::sregex_iterator(); ++it) {
+      keys.push_back((*it)[1].str());
+    }
+  }
+  server.stop();
+  std::filesystem::remove_all(dir);
+
+  const std::vector<std::string> expected = {
+      "io_model", "connections", "requests", "static_requests",
+      "dynamic_requests", "errors", "bytes_sent", "requests_shed",
+      "deadline_exceeded", "active_connections", "draining",
+      "cgi_gate_capacity", "cgi_active", "cgi_waiting", "cgi_queue_waits",
+      "cgi_queue_timeouts", "response_count", "response_mean_us",
+      "response_p50_us", "response_p95_us", "response_p99_us",
+      "cluster_remote_fetches", "cluster_send_failures",
+      "cluster_send_retries", "cluster_peer_failures",
+      "cluster_messages_dropped", "cluster_probes_sent",
+      "cluster_resyncs_requested", "cluster_resyncs_served",
+      "cluster_frames_sent", "cluster_batched_broadcasts",
+      "cluster_owner_updates_sent", "cluster_queries_sent",
+      "cluster_query_hits", "cluster_queries_served",
+      "cluster_anti_entropy_rounds", "cluster_digests_sent",
+      "cluster_digest_repairs", "cluster_inv_syncs_pulled",
+      "cluster_inv_syncs_served", "cluster_joins_sent",
+      "cluster_joins_served", "cluster_decommissions_observed",
+      "cluster_handoff_frames_sent", "cluster_handoffs_adopted",
+      "cluster_peers", "id", "state", "consecutive_failures",
+      "total_failures", "messages_dropped", "probes_sent", "outbound_backlog",
+      "cache_lookups", "cache_local_hits", "cache_remote_hits",
+      "cache_misses", "cache_inserts", "cache_false_hits",
+      "cache_false_misses", "cache_invalidations",
+      "cache_fallback_executions", "cache_coalesced_misses",
+      "cache_coalesce_timeouts", "cache_failed_fast",
+      "inv_epoch_gaps_repaired", "stale_serves_prevented",
+      "inv_overflow_purges", "directory_mode", "membership_epoch",
+      "membership_transitions", "cluster_handoff_records_sent",
+      "cache_remote_dir_lookups", "cache_remote_dir_hits",
+      "cache_peer_queries", "cache_peer_query_hits", "durability",
+      "disk_errors", "store_degraded", "degraded_skips", "checkpoints",
+      "checkpoint_failures", "scrub_adopted", "scrub_quarantined",
+      "scrub_orphans_removed", "scrub_temps_removed", "store_backend",
+      "erase_errors", "volume_flushes", "volume_flushed_records",
+      "volume_compactions", "volume_compacted_records",
+      "volume_corrupt_records_skipped", "volume_torn_tail_truncated",
+      "volume_index_mismatches", "volume_segments_total",
+      "volume_segments_free", "volume_dead_bytes", "cache_entries",
+      "cache_bytes", "cache_hot_hits", "cache_hot_misses", "cache_hot_bytes",
+      "cache_pinned_entries",
+  };
+  EXPECT_EQ(keys, expected);
 }
 
 TEST(AdminClusterTest, ClusterConsistencyWithoutOracleIs404) {

@@ -172,7 +172,7 @@ TEST_F(SwalaServerTest, CgiMissThenLocalHit) {
 
   const auto stats = server_->stats();
   EXPECT_EQ(stats.dynamic_requests, 2u);
-  EXPECT_EQ(stats.cache_hits_local, 1u);
+  EXPECT_EQ(manager_->stats().local_hits, 1u);
 }
 
 TEST_F(SwalaServerTest, HeadRequestOverClient) {
