@@ -1,8 +1,8 @@
 #include "server/context.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -12,28 +12,12 @@
 #include "http/date.h"
 #include "http/mime.h"
 #include "http/parser.h"
+#include "net/fd.h"
 
 namespace swala::server {
 namespace {
 
 constexpr std::string_view kServerName = "Swala/1.0";
-
-/// Memory-mapped static file serving (§4: "We use memory-mapped I/O
-/// whenever possible to minimize the number of system calls and eliminate
-/// double-buffering"). The response head and the mapped body are written
-/// straight to the socket without copying into a Response.
-struct MappedFile {
-  void* addr = MAP_FAILED;
-  std::size_t size = 0;
-
-  ~MappedFile() {
-    if (addr != MAP_FAILED) ::munmap(addr, size);
-  }
-
-  std::string_view view() const {
-    return {static_cast<const char*>(addr), size};
-  }
-};
 
 /// Resolves a decoded request path under the docroot. parse_uri already
 /// removed dot segments; reject any residue defensively.
@@ -148,6 +132,10 @@ http::Response run_dynamic(const http::Request& request,
                           output.value().http_status, "miss");
 }
 
+/// Static file serving. The paper's Swala memory-maps files (§4) to save
+/// system calls; with no mapped-file cache to amortise the mapping over
+/// requests, a per-request map + copy + unmap costs more than reading the
+/// file once with pread, so the body is read straight into the response.
 http::Response serve_static(const http::Request& request,
                             const ServeContext& ctx) {
   if (ctx.counters != nullptr) ++ctx.counters->static_requests;
@@ -156,11 +144,14 @@ http::Response serve_static(const http::Request& request,
   auto full = resolve_static_path(ctx.docroot, request.uri.path);
   if (!full) return http::Response::error(403);
 
-  const int fd = ::open(full.value().c_str(), O_RDONLY);
-  if (fd < 0) return http::Response::error(404, request.uri.path);
+  // O_NONBLOCK: opening a FIFO must not park this thread until a writer
+  // appears (the S_ISREG check below rejects it). O_CLOEXEC: a CGI forked
+  // concurrently by another request must not inherit the descriptor.
+  const net::UniqueFd fd(
+      ::open(full.value().c_str(), O_RDONLY | O_CLOEXEC | O_NONBLOCK));
+  if (!fd.valid()) return http::Response::error(404, request.uri.path);
   struct stat st{};
-  if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
-    ::close(fd);
+  if (::fstat(fd.get(), &st) != 0 || !S_ISREG(st.st_mode)) {
     return http::Response::error(404, request.uri.path);
   }
 
@@ -169,7 +160,6 @@ http::Response serve_static(const http::Request& request,
   if (const auto ims = request.headers.get("If-Modified-Since")) {
     const auto since = http::parse_http_date(*ims);
     if (since && st.st_mtime <= *since) {
-      ::close(fd);
       http::Response not_modified;
       not_modified.status = 304;
       not_modified.headers.set("Last-Modified",
@@ -178,22 +168,29 @@ http::Response serve_static(const http::Request& request,
     }
   }
 
+  // HEAD reports the fstat size. GET reads at most that many bytes; a file
+  // truncated meanwhile ends the loop early at EOF, and Content-Length then
+  // reports what was actually read.
   http::Response resp;
+  std::size_t length = static_cast<std::size_t>(st.st_size);
+  if (request.method != http::Method::kHead) {
+    resp.body.resize(length);
+    std::size_t got = 0;
+    while (got < length) {
+      const ssize_t n = ::pread(fd.get(), resp.body.data() + got, length - got,
+                                static_cast<off_t>(got));
+      if (n < 0 && errno == EINTR) continue;
+      if (n < 0) return http::Response::error(500, "read failed");
+      if (n == 0) break;
+      got += static_cast<std::size_t>(n);
+    }
+    resp.body.resize(got);
+    length = got;
+  }
   resp.status = 200;
   resp.headers.set("Content-Type", http::mime_type_for_path(full.value()));
-  resp.headers.set("Content-Length", std::to_string(st.st_size));
+  resp.headers.set("Content-Length", std::to_string(length));
   resp.headers.set("Last-Modified", http::format_http_date(st.st_mtime));
-  if (request.method != http::Method::kHead && st.st_size > 0) {
-    MappedFile map;
-    map.size = static_cast<std::size_t>(st.st_size);
-    map.addr = ::mmap(nullptr, map.size, PROT_READ, MAP_PRIVATE, fd, 0);
-    if (map.addr == MAP_FAILED) {
-      ::close(fd);
-      return http::Response::error(500, "mmap failed");
-    }
-    resp.body.assign(map.view());
-  }
-  ::close(fd);
   return resp;
 }
 

@@ -3,7 +3,12 @@
 // baseline servers, and SwalaNode config assembly.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <thread>
@@ -136,16 +141,23 @@ TEST(HandleRequestTest, HeadHasNoBodyButLength) {
 class SwalaServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    SwalaServerOptions opts;
-    opts.request_threads = 4;
-    opts.docroot = make_docroot("srv");
+    docroot_ = make_docroot("srv");
     manager_ = std::make_unique<core::CacheManager>(
         0, 1, cache_options(), RealClock::instance());
-    server_ = std::make_unique<SwalaServer>(opts, make_registry(),
-                                            manager_.get());
+    server_ = make_server(IoModel::kThreads);
     ASSERT_TRUE(server_->start().is_ok());
   }
 
+  std::unique_ptr<SwalaServer> make_server(IoModel io_model) {
+    SwalaServerOptions opts;
+    opts.request_threads = 4;
+    opts.io_model = io_model;
+    opts.docroot = docroot_;
+    return std::make_unique<SwalaServer>(opts, make_registry(),
+                                         manager_.get());
+  }
+
+  std::string docroot_;
   std::unique_ptr<core::CacheManager> manager_;
   std::unique_ptr<SwalaServer> server_;
 };
@@ -235,6 +247,117 @@ TEST_F(SwalaServerTest, UnknownMethodGets501) {
   ASSERT_TRUE(n.is_ok());
   const std::string head(buf, n.value());
   EXPECT_NE(head.find("501"), std::string::npos);  // unknown method
+}
+
+TEST_F(SwalaServerTest, StaticEdgeSizesAreByteIdentical) {
+  // An empty file, and one larger than a single read, in both io models.
+  std::ofstream(docroot_ + "/empty.txt").close();
+  std::string big(1024 * 1024 + 7, '\0');
+  for (std::size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<char>((i * 131 + 7) % 251);
+  }
+  std::ofstream(docroot_ + "/big.bin", std::ios::binary) << big;
+
+  for (const IoModel io_model : {IoModel::kThreads, IoModel::kEpoll}) {
+    SCOPED_TRACE(io_model == IoModel::kThreads ? "threads" : "epoll");
+    auto server = make_server(io_model);
+    ASSERT_TRUE(server->start().is_ok());
+    http::HttpClient client(server->address());
+
+    auto empty = client.get("/empty.txt");
+    ASSERT_TRUE(empty.is_ok()) << empty.status().to_string();
+    EXPECT_EQ(empty.value().status, 200);
+    EXPECT_EQ(empty.value().headers.get("Content-Length"), "0");
+    EXPECT_TRUE(empty.value().body.empty());
+
+    auto large = client.get("/big.bin");
+    ASSERT_TRUE(large.is_ok()) << large.status().to_string();
+    EXPECT_EQ(large.value().status, 200);
+    EXPECT_EQ(large.value().headers.get("Content-Length"),
+              std::to_string(big.size()));
+    EXPECT_TRUE(large.value().body == big) << "large body differs";
+
+    http::Request head;
+    head.method = http::Method::kHead;
+    head.target = "/big.bin";
+    head.version = http::Version::kHttp11;
+    head.headers.set("Host", "test");
+    auto head_resp = client.send(head);
+    ASSERT_TRUE(head_resp.is_ok()) << head_resp.status().to_string();
+    EXPECT_EQ(head_resp.value().status, 200);
+    EXPECT_EQ(head_resp.value().headers.get("Content-Length"),
+              std::to_string(big.size()));
+    EXPECT_TRUE(head_resp.value().body.empty());
+    server->stop();
+  }
+}
+
+TEST_F(SwalaServerTest, FifoInDocrootIs404WithoutBlocking) {
+  // Opening a FIFO for reading blocks until a writer appears; a request for
+  // one must be refused at once, not park a request thread forever.
+  const std::string fifo = docroot_ + "/pipe";
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  http::HttpClient client(server_->address(), /*timeout_ms=*/1000);
+  auto resp = client.get("/pipe");
+  if (!resp.is_ok()) {
+    // Release a request thread stuck in open() so the server can stop.
+    const int writer = ::open(fifo.c_str(), O_WRONLY | O_NONBLOCK);
+    if (writer >= 0) ::close(writer);
+  }
+  ASSERT_TRUE(resp.is_ok()) << resp.status().to_string();
+  EXPECT_EQ(resp.value().status, 404);
+}
+
+TEST_F(SwalaServerTest, ContentLengthMatchesBodyWhileFileChanges) {
+  // A writer alternately truncates and regrows one file while clients GET
+  // it. Every response must parse with Content-Length equal to the body it
+  // carries, and a truncation mid-read must not crash the server.
+  const std::string path = docroot_ + "/churn.bin";
+  const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
+  ASSERT_GE(fd, 0);
+  constexpr off_t kMaxSize = 1024 * 1024;
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    // Growing with ftruncate is instant, so the file spends much of its
+    // time short; a reader that sized its copy from fstat sees it shrink.
+    for (off_t i = 0; !stop.load(); ++i) {
+      if (::ftruncate(fd, 0) != 0) break;
+      if (::ftruncate(fd, kMaxSize / (1 + i % 4)) != 0) break;
+    }
+  });
+
+  // Clients run for a fixed wall time so they overlap many writer cycles.
+  constexpr int kClients = 4;
+  const auto until = std::chrono::steady_clock::now() +
+                     std::chrono::milliseconds(500);
+  std::atomic<int> served{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&] {
+      http::HttpClient client(server_->address(), /*timeout_ms=*/5000);
+      while (std::chrono::steady_clock::now() < until) {
+        auto resp = client.get("/churn.bin");
+        if (!resp.is_ok()) {
+          ADD_FAILURE() << resp.status().to_string();
+          return;
+        }
+        EXPECT_EQ(resp.value().status, 200);
+        EXPECT_EQ(resp.value().headers.get("Content-Length"),
+                  std::to_string(resp.value().body.size()));
+        EXPECT_LE(resp.value().body.size(), static_cast<std::size_t>(kMaxSize));
+        served.fetch_add(1);
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  stop.store(true);
+  writer.join();
+  ::close(fd);
+  EXPECT_GT(served.load(), 0);
+  http::HttpClient after(server_->address());
+  auto alive = after.get("/index.html");
+  ASSERT_TRUE(alive.is_ok()) << alive.status().to_string();
+  EXPECT_EQ(alive.value().status, 200);
 }
 
 TEST_F(SwalaServerTest, StopIsIdempotent) {
