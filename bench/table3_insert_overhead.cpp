@@ -45,7 +45,11 @@ core::ManagerOptions cache_all(core::NodeId) {
 /// Mean response of `kRequests` unique requests against node 0 of an
 /// `nodes`-wide group. `cache` toggles the cooperative cache.
 double run_one(std::size_t nodes, bool cache, int salt) {
-  cluster::LocalCluster cluster(nodes, cache_all);
+  // The paper's broadcast: one update per frame, no repair rounds.
+  cluster::GroupOptions go;
+  go.batch_max_messages = 1;
+  go.anti_entropy_interval_ms = 0;
+  cluster::LocalCluster cluster(nodes, cache_all, RealClock::instance(), go);
   server::SwalaServerOptions options;
   options.request_threads = 4;
   server::SwalaServer server(options, make_registry(),

@@ -90,7 +90,11 @@ int main() {
   for (const double ups : {0.0, 100.0, 500.0, 2000.0, 10000.0}) {
     // One real node in an 8-member group; the 7 peers never initiate.
     auto members = cluster::loopback_members(8);
-    cluster::NodeGroup group(0, members);
+    // The paper's broadcast: one update per frame, no repair rounds.
+    cluster::GroupOptions go;
+    go.batch_max_messages = 1;
+    go.anti_entropy_interval_ms = 0;
+    cluster::NodeGroup group(0, members, go);
     if (!group.start().is_ok()) return 1;
     core::ManagerOptions mo;
     mo.limits = {1000000, 0};

@@ -12,6 +12,9 @@
 //   * run_live_chaos — real loopback TCP via LocalCluster + the send-side
 //     FaultInjector; wall-clock time, so the verdict is reproducible in
 //     outcome but not byte-for-byte in its log.
+// Both run the same cluster::Protocol (cluster/protocol.h) with the same
+// options; they differ in the shell around it — sim::VirtualBus on virtual
+// time versus NodeGroup on sockets — and so in timing.
 //
 // The oracle asserts the bounded-staleness invariant: after invalidate(P)
 // at time t, no live node may still hold a matching pre-invalidation entry
@@ -53,8 +56,6 @@ enum class ActionKind {
                       ///< hands cached state to its ring successors, and
                       ///< peers deactivate it without quarantining it
 };
-
-const char* action_kind_name(ActionKind kind);
 
 struct ChaosAction {
   double at_seconds = 0.0;
@@ -136,6 +137,10 @@ struct ChaosVerdict {
   std::uint64_t handoff_bytes = 0;    ///< encoded size of those frames
                                       ///< (sim substrate only)
   std::uint64_t handoffs_adopted = 0; ///< shipped entries successors adopted
+
+  /// Final resident cache keys per node id, sorted; empty for a node down
+  /// or outside the membership at the end (the sim-vs-live check).
+  std::vector<std::vector<std::string>> member_keys;
 
   /// The whole log as one newline-joined string (determinism guard tests
   /// compare this across runs).

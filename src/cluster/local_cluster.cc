@@ -37,7 +37,6 @@ LocalCluster::LocalCluster(
     members[i].data_addr.port = groups_[i]->data_port();
   }
   for (auto& group : groups_) group->set_members(members);
-  members_ = members;
 
   // Phase 3: build managers wired to their groups.
   for (std::size_t i = 0; i < n; ++i) {

@@ -43,9 +43,6 @@ class LocalCluster {
   NodeGroup& group(std::size_t i) { return *groups_[i]; }
   std::size_t size() const { return groups_.size(); }
 
-  /// Resolved member addresses (real ports).
-  const std::vector<MemberAddress>& members() const { return members_; }
-
   /// Waits until every node's outbound broadcast queue has drained and
   /// stayed drained across a settle delay (in-flight writes/applies land on
   /// loopback well within it). Returns false if the backlog has not cleared
@@ -63,7 +60,6 @@ class LocalCluster {
  private:
   std::vector<std::unique_ptr<NodeGroup>> groups_;
   std::vector<std::unique_ptr<core::CacheManager>> managers_;
-  std::vector<MemberAddress> members_;
 };
 
 }  // namespace swala::cluster

@@ -94,9 +94,4 @@ Status Transport::send(net::TcpStream& stream, core::NodeId peer,
   return write_message(stream, msg);
 }
 
-Result<Message> Transport::recv(net::TcpStream& stream, core::NodeId peer) {
-  (void)peer;
-  return read_message(stream);
-}
-
 }  // namespace swala::cluster

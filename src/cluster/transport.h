@@ -82,7 +82,7 @@ class FaultInjector {
   std::uint64_t faults_injected_ = 0;
 };
 
-/// Framed send/recv over a TcpStream with faults applied on the send side.
+/// Framed send over a TcpStream with faults applied on the send side.
 /// Injecting at the sender is sufficient for every failure mode: a dropped
 /// FETCH_REQ or FETCH_RESP surfaces at the other end as a read timeout, a
 /// truncated frame as a mid-frame EOF, a dropped broadcast as a lost
@@ -94,10 +94,6 @@ class Transport {
   /// Sends one framed message to `peer`. A kDrop/kBlackhole fault returns OK
   /// without writing; kTruncate writes a torn frame and fails the send.
   Status send(net::TcpStream& stream, core::NodeId peer, const Message& msg);
-
-  /// Reads one framed message (faults are send-side only; this is a thin
-  /// wrapper kept for symmetry and future receive-side hooks).
-  Result<Message> recv(net::TcpStream& stream, core::NodeId peer);
 
   FaultInjector* injector() const { return faults_; }
 

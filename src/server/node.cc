@@ -235,28 +235,30 @@ Result<std::unique_ptr<SwalaNode>> SwalaNode::from_config(
         static_cast<std::int64_t>(HashRing::kDefaultSeed)));
 
     if (!members.empty()) {
+      // Every [cluster] key defaults to its GroupOptions value.
       cluster::GroupOptions go;
-      go.purge_interval_seconds =
-          config.get_double("cache", "purge_interval", 2.0);
-      // Batching defaults ON for deployments (GroupOptions itself defaults
-      // it off so tests keep one-message-per-frame semantics).
-      go.batch_max_messages = static_cast<std::size_t>(
-          config.get_int("cluster", "batch_max_messages", 64));
-      go.batch_max_bytes = static_cast<std::size_t>(
-          config.get_int("cluster", "batch_max_bytes", 256 * 1024));
-      go.batch_linger_ms =
-          static_cast<int>(config.get_int("cluster", "batch_linger_ms", 2));
+      go.purge_interval_seconds = config.get_double(
+          "cache", "purge_interval", go.purge_interval_seconds);
+      go.batch_max_messages = static_cast<std::size_t>(config.get_int(
+          "cluster", "batch_max_messages",
+          static_cast<std::int64_t>(go.batch_max_messages)));
+      go.batch_max_bytes = static_cast<std::size_t>(config.get_int(
+          "cluster", "batch_max_bytes",
+          static_cast<std::int64_t>(go.batch_max_bytes)));
+      go.batch_linger_ms = static_cast<int>(
+          config.get_int("cluster", "batch_linger_ms", go.batch_linger_ms));
       go.query_timeout_ms = static_cast<int>(
-          config.get_int("cluster", "query_timeout_ms", 300));
+          config.get_int("cluster", "query_timeout_ms", go.query_timeout_ms));
       // Anti-entropy digest cadence; 0 disables the repair layer (gaps then
       // heal only via greeting-HELLO epoch exchange on reconnects).
-      go.anti_entropy_interval_ms = static_cast<int>(
-          config.get_int("cluster", "anti_entropy_interval_ms", 1000));
+      go.anti_entropy_interval_ms = static_cast<int>(config.get_int(
+          "cluster", "anti_entropy_interval_ms", go.anti_entropy_interval_ms));
       // ---- dynamic membership ----
       go.join_timeout_ms = static_cast<int>(
-          config.get_int("cluster", "join_timeout_ms", 3000));
-      go.handoff_batch_bytes = static_cast<std::size_t>(
-          config.get_int("cluster", "handoff_batch_bytes", 256 * 1024));
+          config.get_int("cluster", "join_timeout_ms", go.join_timeout_ms));
+      go.handoff_batch_bytes = static_cast<std::size_t>(config.get_int(
+          "cluster", "handoff_batch_bytes",
+          static_cast<std::int64_t>(go.handoff_batch_bytes)));
       for (const auto& tok : split_trimmed(
                config.get_string("cluster", "initial_active", ""), ' ')) {
         if (tok.empty()) continue;
@@ -268,7 +270,6 @@ Result<std::unique_ptr<SwalaNode>> SwalaNode::from_config(
         go.initial_active.push_back(static_cast<core::NodeId>(id));
       }
       mo.initial_members = go.initial_active;
-      node->handoff_batch_bytes_ = go.handoff_batch_bytes;
       node->join_on_start_ =
           config.get_bool("cluster", "join_on_start", false);
       node->group_ =
@@ -476,14 +477,9 @@ bool SwalaNode::drain() {
 }
 
 core::CacheManager::HandoffStats SwalaNode::decommission() {
-  core::CacheManager::HandoffStats handed;
-  if (manager_ == nullptr) return handed;
-  manager_->begin_decommission();
-  if (group_ != nullptr) {
-    handed = manager_->handoff_state(handoff_batch_bytes_);
-    group_->announce_decommission();
-  }
-  return handed;
+  // A stand-alone node has no successor to hand state to.
+  if (group_ == nullptr) return {};
+  return group_->decommission();
 }
 
 void SwalaNode::stop() {

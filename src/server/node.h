@@ -104,12 +104,13 @@ class SwalaNode {
   /// Returns true when all connections finished in time.
   bool drain();
 
-  /// Graceful decommission (idempotent): stop admitting new cache entries,
-  /// hand every cached entry — and, in partitioned mode, this node's
-  /// directory partition — to its ring successors, then broadcast
-  /// kDecommission so peers deactivate this node without quarantining it.
-  /// Does NOT drain or stop; callers sequence that (swalad's SIGUSR2 path
-  /// runs decommission() → drain() → stop()).
+  /// Graceful decommission of a clustered node (idempotent; a stand-alone
+  /// node has nothing to hand off): stop admitting new cache entries, hand
+  /// every cached entry — and, in partitioned mode, this node's directory
+  /// partition — to its ring successors, then broadcast kDecommission so
+  /// peers deactivate this node without quarantining it
+  /// (NodeGroup::decommission). Does NOT drain or stop; callers sequence
+  /// that (swalad's SIGUSR2 path runs decommission() → drain() → stop()).
   core::CacheManager::HandoffStats decommission();
 
   SwalaServer& http() { return *server_; }
@@ -137,7 +138,6 @@ class SwalaNode {
   bool save_on_signal_ = true;
   double purge_interval_seconds_ = 2.0;
   bool join_on_start_ = false;  // run join_cluster() right after start()
-  std::size_t handoff_batch_bytes_ = 256 * 1024;
 
   std::mutex housekeeping_mutex_;
   std::condition_variable housekeeping_cv_;

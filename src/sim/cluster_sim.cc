@@ -33,7 +33,7 @@ struct NodeMemory {
 struct SimState {
   SimEngine engine;
   VirtualTraffic traffic;
-  std::vector<std::unique_ptr<VirtualBus>> buses;  ///< cooperative mode only
+  BusList buses;  ///< cooperative mode only
   ManagerList managers;
   std::vector<std::unique_ptr<FcfsResource>> cpus;
   std::vector<NodeMemory> memory;
@@ -77,55 +77,32 @@ void close_transition_windows(SimState* st) {
   }
 }
 
-/// Join under load: every member admits the joiner — partitioned mode
-/// forwards only the remapped directory slice via the bus, replicated mode
-/// seeds the joiner with a full directory push — then the joiner adopts the
-/// cluster view (the kJoinAck step).
+/// Join under load: the joiner runs the kJoin protocol (every member
+/// admits it; partitioned mode forwards only the remapped directory slice,
+/// replicated mode seeds the joiner with a full push; then the joiner adopts
+/// the cluster view). Everything it sends counts as transition traffic.
 void do_join(SimState* st) {
   const core::NodeId j = st->config->join_node;
-  core::NodeId responder = core::kInvalidNode;
   st->traffic.in_transition = true;
-  for (std::size_t o = 0; o < st->managers.size(); ++o) {
-    if (o == j || !st->member[o]) continue;
-    if (responder == core::kInvalidNode) {
-      responder = static_cast<core::NodeId>(o);
-    }
-    st->managers[o]->member_joined(j);
-    if (st->config->directory_mode == core::DirectoryMode::kReplicated) {
-      st->buses[o]->push_state(j, &st->traffic.transitions);
-    }
-  }
-  st->member[j] = 1;
-  if (responder != core::kInvalidNode) {
-    // kJoinAck: the joiner adopts the cluster view and re-announces its
-    // stand-alone residents (counted as transition traffic).
-    st->managers[j]->adopt_membership(
-        st->managers[responder]->membership_epoch(),
-        st->managers[responder]->active_members());
-  }
+  (void)st->buses[j]->join_cluster();
   st->traffic.in_transition = false;
+  st->member[j] = 1;
   st->membership_transitions += 1;
   st->engine.schedule_in(0.5, [st] { close_transition_windows(st); });
 }
 
-/// Graceful decommission under load: the leaver stops admitting entries,
-/// ships its cached state to ring successors over the handoff channel,
-/// peers drop it without quarantine, and its client streams repin to the
-/// next active member (the load balancer stops routing to it).
+/// Graceful decommission under load: the leaver runs the decommission
+/// protocol (stop admitting, hand cached state to the ring successors,
+/// announce), and its client streams repin to the next active member (the
+/// load balancer stops routing to it).
 void do_decommission(SimState* st) {
   const core::NodeId d = st->config->decommission_node;
-  core::CacheManager* leaver = st->managers[d].get();
-  for (const auto& meta : leaver->store().resident_metas()) {
+  for (const auto& meta : st->managers[d]->store().resident_metas()) {
     st->decommissioned_keys.push_back(meta.key);
   }
   std::sort(st->decommissioned_keys.begin(), st->decommissioned_keys.end());
-  leaver->begin_decommission();
   st->traffic.in_transition = true;
-  leaver->handoff_state(st->config->handoff_batch_bytes);
-  for (std::size_t o = 0; o < st->managers.size(); ++o) {
-    if (o == d || !st->member[o]) continue;
-    st->managers[o]->member_left(d);
-  }
+  (void)st->buses[d]->decommission();
   st->traffic.in_transition = false;
   st->member[d] = 0;
   st->membership_transitions += 1;
@@ -356,11 +333,17 @@ SimReport run_cluster_sim(const workload::Trace& trace, const SimConfig& config)
   // Build the cost-model-aware cooperation fabric over real managers.
   if (config.caching) {
     const std::size_t dir_nodes = config.cooperative ? n : 1;
+    // No anti-entropy and no probes: nothing here ticks the protocols, and
+    // with every node up no breaker opens.
+    cluster::GroupOptions go;
+    go.anti_entropy_interval_ms = 0;
+    go.initial_active = initial_members;
+    go.handoff_batch_bytes = config.handoff_batch_bytes;
     for (std::size_t i = 0; config.cooperative && i < n; ++i) {
       st.buses.push_back(std::make_unique<VirtualBus>(
-          &st.engine, &st.managers, static_cast<core::NodeId>(i),
+          &st.engine, &st.buses, n, static_cast<core::NodeId>(i),
           config.costs.directory_update_delay, config.costs.query_latency,
-          config.faults, /*alive=*/nullptr, &st.traffic));
+          config.faults, /*alive=*/nullptr, &st.traffic, go));
     }
     for (std::size_t i = 0; i < n; ++i) {
       core::ManagerOptions mo;
@@ -380,6 +363,7 @@ SimReport run_cluster_sim(const workload::Trace& trace, const SimConfig& config)
           static_cast<core::NodeId>(config.cooperative ? i : 0), dir_nodes,
           std::move(mo), st.engine.clock(),
           config.cooperative ? st.buses[i].get() : nullptr));
+      if (config.cooperative) st.buses[i]->attach(st.managers[i].get());
     }
   }
 
@@ -446,7 +430,9 @@ SimReport run_cluster_sim(const workload::Trace& trace, const SimConfig& config)
   report.membership_transitions = st.membership_transitions;
   report.handoff_frames = st.traffic.handoffs.frames;
   report.handoff_bytes = st.traffic.handoffs.bytes;
-  report.handoffs_adopted = st.traffic.handoffs_adopted;
+  for (const auto& bus : st.buses) {
+    report.handoffs_adopted += bus->protocol().stats().handoffs_adopted;
+  }
   report.transition_frames = st.traffic.transitions.frames;
   report.transition_bytes = st.traffic.transitions.bytes;
   report.decommissioned_keys = std::move(st.decommissioned_keys);

@@ -22,7 +22,6 @@ void SimEngine::run() {
     Event event = std::move(const_cast<Event&>(queue_.top()));
     queue_.pop();
     advance_to(event.time);
-    ++processed_;
     event.fn();
   }
 }
@@ -32,7 +31,6 @@ void SimEngine::run_until(double t_end) {
     Event event = std::move(const_cast<Event&>(queue_.top()));
     queue_.pop();
     advance_to(event.time);
-    ++processed_;
     event.fn();
   }
   if (now_ < t_end) advance_to(t_end);

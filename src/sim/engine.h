@@ -37,7 +37,6 @@ class SimEngine {
   void run_until(double t_end);
 
   std::size_t pending() const { return queue_.size(); }
-  std::uint64_t events_processed() const { return processed_; }
 
  private:
   struct Event {
@@ -55,7 +54,6 @@ class SimEngine {
 
   double now_ = 0.0;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t processed_ = 0;
   std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
   ManualClock clock_;
 };

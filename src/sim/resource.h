@@ -21,9 +21,6 @@ class FcfsResource {
     engine_->schedule_at(busy_until_, std::move(done));
   }
 
-  /// Time at which the currently queued work drains.
-  double busy_until() const { return busy_until_; }
-
   /// Total service time processed (for utilization).
   double busy_seconds() const { return busy_seconds_; }
   std::uint64_t jobs() const { return jobs_; }

@@ -2,7 +2,9 @@
 // self-check (the oracle must be falsifiable), the acceptance scenario from
 // the anti-entropy work (a 100% kInvalidate drop storm to one peer repairs
 // within one anti-entropy round — and demonstrably does NOT with the repair
-// layer disabled), duplicate-replay idempotency, and a short live-TCP run.
+// layer disabled), duplicate-replay idempotency, the cluster protocol's
+// decoder, membership checks, breaker and announcements running in virtual
+// time, short live-TCP runs, and the sim-vs-live differential check.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -12,32 +14,6 @@
 
 namespace swala::chaos {
 namespace {
-
-/// The PR's acceptance scenario: three nodes each cache a key under one
-/// namespace; node 0's sends of kInvalidate to node 2 are dropped 100%;
-/// node 0 invalidates the namespace. Node 2 keeps serving its stale copy
-/// until the anti-entropy layer pulls the missed invalidation.
-ChaosSchedule drop_storm_schedule(double anti_entropy_interval) {
-  ChaosSchedule s;
-  s.nodes = 3;
-  s.seed = 7;
-  s.duration_seconds = 5.0;
-  s.anti_entropy_interval_seconds = anti_entropy_interval;
-  s.slack_seconds = 0.5;
-  s.actions.push_back(at(0.1, ActionKind::kInsert, 0, "/cgi-bin/acc/a"));
-  s.actions.push_back(at(0.15, ActionKind::kInsert, 1, "/cgi-bin/acc/b"));
-  s.actions.push_back(at(0.2, ActionKind::kInsert, 2, "/cgi-bin/acc/c"));
-  {
-    ChaosAction storm = at(0.5, ActionKind::kAddFault, 0);
-    storm.rule.peer = 2;
-    storm.rule.type = cluster::MsgType::kInvalidate;
-    storm.rule.kind = cluster::FaultKind::kDrop;
-    storm.rule.probability = 1.0;
-    s.actions.push_back(storm);
-  }
-  s.actions.push_back(at(1.0, ActionKind::kInvalidate, 0, "GET /cgi-bin/acc/*"));
-  return s;
-}
 
 TEST(ChaosSimTest, SameSeedSameScheduleIsByteDeterministic) {
   const ChaosSchedule schedule = make_random_schedule(42, 3, 6.0);
@@ -189,6 +165,87 @@ TEST(ChaosSimTest, ChurnUnderDuplicateStormAdoptsEachEntryOnce) {
   EXPECT_LE(verdict.handoffs_adopted, verdict.handoff_frames);
 }
 
+TEST(ChaosSimTest, TornFrameIsRejectedByTheReceiversDecoder) {
+  // Every kInsert node 0 sends node 1 is torn mid-frame: the simulator
+  // hands the partial bytes to node 1's decoder, which rejects them, and
+  // the failed send counts against node 0's breaker — as on TCP.
+  ChaosSchedule s;
+  s.nodes = 3;
+  s.seed = 41;
+  s.duration_seconds = 2.0;
+  {
+    ChaosAction torn = at(0.05, ActionKind::kAddFault, 0);
+    torn.rule.peer = 1;
+    torn.rule.type = cluster::MsgType::kInsert;
+    torn.rule.kind = cluster::FaultKind::kTruncate;
+    s.actions.push_back(torn);
+  }
+  s.actions.push_back(at(0.2, ActionKind::kInsert, 0, "/cgi-bin/torn/a"));
+  const ChaosVerdict verdict = run_sim_chaos(s);
+  EXPECT_NE(verdict.log_text().find(
+                "t=0.210 node 1: frame from node 0 rejected by the decoder"),
+            std::string::npos)
+      << verdict.log_text();
+}
+
+TEST(ChaosSimTest, StragglerDigestFromALeaverFailsTheMembershipCheck) {
+  // Node 0's kDigest frames are held up past its decommission: by the time
+  // the t=1.0 round's digest lands, the receivers have applied node 0's
+  // kDecommission and drop the frame instead of comparing tables.
+  ChaosSchedule s = churn_schedule();
+  ChaosAction slow = at(0.9, ActionKind::kAddFault, 0);
+  slow.rule.type = cluster::MsgType::kDigest;
+  slow.rule.kind = cluster::FaultKind::kDelay;
+  slow.rule.delay_ms = 1200;
+  s.actions.push_back(slow);
+  const ChaosVerdict verdict = run_sim_chaos(s);
+  EXPECT_TRUE(verdict.passed) << verdict.log_text();
+  EXPECT_NE(verdict.log_text().find(
+                "t=2.210 node 1: ignored kDigest from non-member 0"),
+            std::string::npos)
+      << verdict.log_text();
+}
+
+TEST(ChaosSimTest, PeersLearnOfADecommissionFromItsAnnouncement) {
+  // The leaver's kDecommission travels like any frame: peers deactivate it
+  // one propagation delay after it hands off, so the t=2.0 digest round
+  // (and any broadcast in between) still reaches it.
+  const ChaosVerdict verdict = run_sim_chaos(churn_schedule());
+  const std::string log = verdict.log_text();
+  EXPECT_NE(log.find("t=2.000 node 0: DECOMMISSION"), std::string::npos)
+      << log;
+  for (const char* peer : {"1", "2", "3"}) {
+    EXPECT_NE(log.find(std::string("t=2.010 node ") + peer +
+                       ": peer 0 decommissioned (epoch 1)"),
+              std::string::npos)
+        << peer << "\n"
+        << log;
+  }
+}
+
+TEST(ChaosSimTest, CrashIsFoundByTheBreakerAndRejoinWaitsForAProbe) {
+  // Nobody tells the survivors that node 2 crashed: failed sends open their
+  // breakers, and the rejoin resync starts with the first HELLO probe that
+  // reaches the restarted node (probe cadence 100 ms), not at the restart.
+  ChaosSchedule s;
+  s.nodes = 3;
+  s.seed = 31;
+  s.duration_seconds = 5.0;
+  s.actions.push_back(at(0.1, ActionKind::kInsert, 0, "/cgi-bin/rj/a"));
+  s.actions.push_back(at(0.5, ActionKind::kCrash, 2));
+  s.actions.push_back(at(2.55, ActionKind::kRestart, 2));
+  const ChaosVerdict verdict = run_sim_chaos(s);
+  const std::string log = verdict.log_text();
+  EXPECT_TRUE(verdict.passed) << log;
+  EXPECT_NE(log.find("t=2.000 node 0: peer 2 marked dead after 2 "
+                     "consecutive failures"),
+            std::string::npos)
+      << log;
+  EXPECT_NE(log.find("t=2.600 node 0: peer 2 recovered; requesting resync"),
+            std::string::npos)
+      << log;
+}
+
 TEST(ChaosLiveTest, ScriptedRunOverRealTcpPasses) {
   // Short wall-clock smoke over loopback TCP: inserts, a kInvalidate drop
   // storm against one peer, an invalidation, repair via the real kDigest/
@@ -216,6 +273,33 @@ TEST(ChaosLiveTest, MembershipChurnOverRealTcpPasses) {
   EXPECT_EQ(verdict.membership_transitions, 2u);
   EXPECT_GE(verdict.handoff_frames, 1u) << verdict.log_text();
   EXPECT_GE(verdict.handoffs_adopted, 1u);
+}
+
+TEST(ChaosLiveTest, SimAndLiveAgreeOnVerdictAndFinalKeys) {
+  // One schedule, two shells around the same cluster::Protocol: the
+  // verdict and every member's final cached keys must match. What may
+  // differ is timing only, so it is not compared:
+  //  * log timestamps and the order of same-instant events (wall clock vs
+  //    virtual time);
+  //  * anti-entropy rounds and repair frames (the live purge loop ticks on
+  //    a drifting 50 ms sleep and runs a quiesce tail after the schedule);
+  //  * when a gap is repaired within its deadline, and whether it was a
+  //    digest round or a HELLO that found it.
+  ChaosSchedule drop = drop_storm_schedule(0.4);
+  drop.duration_seconds = 3.0;
+  drop.slack_seconds = 2.0;
+  ChaosSchedule churn = churn_schedule();
+  churn.duration_seconds = 4.0;
+  churn.anti_entropy_interval_seconds = 0.5;
+  churn.slack_seconds = 2.0;
+  for (const ChaosSchedule& s : {drop, churn}) {
+    const ChaosVerdict sim = run_sim_chaos(s);
+    const ChaosVerdict live = run_live_chaos(s);
+    EXPECT_EQ(sim.passed, live.passed) << sim.log_text() << live.log_text();
+    EXPECT_EQ(sim.member_keys, live.member_keys)
+        << sim.log_text() << live.log_text();
+    EXPECT_EQ(sim.membership_transitions, live.membership_transitions);
+  }
 }
 
 }  // namespace

@@ -31,8 +31,12 @@ core::ManagerOptions open_options(core::NodeId) {
 }
 
 /// Group options with short deadlines so failure paths resolve quickly.
+/// Batching and anti-entropy stay off: the fault rules here target single
+/// update types, and a repair round would mask the loss a test observes.
 GroupOptions fast_options() {
   GroupOptions go;
+  go.batch_max_messages = 1;
+  go.anti_entropy_interval_ms = 0;
   go.fetch_timeout_ms = 400;
   go.connect_timeout_ms = 400;
   go.broadcast_retry_limit = 2;
@@ -653,6 +657,37 @@ TEST(ClusterFailureTest, BroadcastWhilePeerDownIsLossyNotFatal) {
 }
 
 // ---- anti-entropy consistency repair ----
+
+// A state push that finds the peer's outbound queue full loses frames; each
+// one must show up in send_failures. Node 1 never starts, and node 0's
+// sender sits in backoff retrying it, so the one-slot queue stays full
+// while a kSyncReq forces node 0 to push its eight entries.
+TEST(ClusterFailureTest, StatePushIntoAFullQueueCountsEveryDroppedFrame) {
+  GroupOptions go = fast_options();
+  go.outbound_queue_capacity = 1;
+  go.backoff_base_ms = 300;
+  go.backoff_max_ms = 300;
+  go.failure_threshold = 1000;  // keep the breaker closed: frames queue
+  NodeGroup group(0, loopback_members(2), go);
+  ASSERT_TRUE(group.start().is_ok());
+  core::CacheManager manager(0, 2, open_options(0), RealClock::instance(),
+                             &group);
+  group.attach(&manager);
+  for (int i = 0; i < 8; ++i) {
+    cache_on(manager, "/cgi-bin/push/k" + std::to_string(i));
+  }
+  const std::uint64_t before = group.stats().send_failures;
+
+  auto conn = net::TcpStream::connect({"127.0.0.1", group.info_port()}, 1000);
+  ASSERT_TRUE(conn.is_ok()) << conn.status().to_string();
+  ASSERT_TRUE(write_message(conn.value(), Message::sync_req(1)).is_ok());
+  EXPECT_TRUE(eventually([&] { return group.stats().resyncs_served >= 1; }));
+  EXPECT_TRUE(eventually(
+      [&] { return group.stats().send_failures >= before + 7; }, 2000))
+      << "send_failures " << group.stats().send_failures << " (was "
+      << before << ")";
+  group.stop();
+}
 
 // Regression for the rejoin-staleness bug: the resync push is additions-
 // only, so before the epoch exchange a node that was partitioned across an

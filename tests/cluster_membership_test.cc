@@ -152,10 +152,8 @@ TEST(MembershipTest, GracefulDecommissionHandsOffWithoutLoss) {
   ASSERT_EQ(leaving.size(), 6u);
 
   // The swalad decommission sequence: stop inserts, ship state, announce.
-  cluster.manager(0).begin_decommission();
-  const auto handed = cluster.manager(0).handoff_state(0);
+  const auto handed = cluster.group(0).decommission();
   EXPECT_EQ(handed.entries, 6u);
-  cluster.group(0).announce_decommission();
 
   const std::vector<core::NodeId> want = {1, 2};
   EXPECT_TRUE(eventually([&] {

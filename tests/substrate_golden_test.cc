@@ -1,12 +1,19 @@
 // Golden pins for the two virtual-time substrates: the simulated cluster
-// (run_cluster_sim) and the chaos harness (run_sim_chaos). Both run over
-// the in-memory cooperation bus, so any change to its fan-out, membership
-// filter, fault handling, delivery scheduling or traffic accounting shows
-// up here as a moved number. Each scenario renders its outputs as one
-// summary line; the expected lines were recorded before the two simulator
-// buses were merged into sim::VirtualBus and must not move. The one line
-// with a `co=` field (same-node misses coalesced by single-flight) was
-// re-recorded when the simulator moved onto the server's lookup path.
+// (run_cluster_sim) and the chaos harness (run_sim_chaos). Both run the
+// server's cooperation protocol (cluster::Protocol) over sim::VirtualBus,
+// so any change to the protocol or to the bus's fan-out, fault handling,
+// delivery scheduling or traffic accounting shows up here as a moved
+// number. Each scenario renders its outputs as one summary line. The lines
+// were recorded before the two simulator buses were merged and must not
+// move; the exceptions were re-recorded on purpose:
+//  * the one line with a `co=` field (same-node misses coalesced by
+//    single-flight), when the simulator moved onto the server's lookup path;
+//  * the two churn lines and both chaos lines, when the simulator moved
+//    onto the server's protocol: peers now learn of a decommission from its
+//    kDecommission frame, one propagation delay after the handoff
+//    (ChaosSimTest.PeersLearnOfADecommissionFromItsAnnouncement), and a
+//    crash is found by the breaker and healed by a probe
+//    (ChaosSimTest.CrashIsFoundByTheBreakerAndRejoinWaitsForAProbe).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -123,9 +130,9 @@ const SimGolden kSimGoldens[] = {
      " fh=4 fm=47 fb=27 rdl=0 rdh=0 pq=0 pqh=0"
      " keys=94ffe5d6c21818be t=425.0908015729994"},
     {DirectoryMode::kReplicated, Variant::kChurn,
-     "upd=1527/161435 qry=0/0 trans=206/27696 hand=40/453070/39"
+     "upd=1591/168321 qry=0/0 trans=206/27696 hand=40/453070/39"
      " look=617 lh=104 rh=111 miss=402 ins=439"
-     " fh=0 fm=27 fb=0 rdl=0 rdh=0 pq=0 pqh=0"
+     " fh=0 fm=66 fb=0 rdl=0 rdh=0 pq=0 pqh=0"
      " keys=194324d1ca189604 t=388.23608897076491"},
     {DirectoryMode::kPartitioned, Variant::kClean,
      "upd=498/55346 qry=816/39668 trans=0/0 hand=0/0/0"
@@ -138,9 +145,9 @@ const SimGolden kSimGoldens[] = {
      " fh=2 fm=12 fb=104 rdl=385 rdh=61 pq=0 pqh=0 co=3"
      " keys=18cacb6bc6e41437 t=417.18663758654458"},
     {DirectoryMode::kPartitioned, Variant::kChurn,
-     "upd=444/48145 qry=770/35901 trans=112/15170 hand=40/470477/40"
+     "upd=454/49306 qry=770/35901 trans=104/14085 hand=40/470477/40"
      " look=617 lh=91 rh=128 miss=398 ins=437"
-     " fh=1 fm=4 fb=0 rdl=385 rdh=80 pq=0 pqh=0"
+     " fh=1 fm=11 fb=0 rdl=385 rdh=80 pq=0 pqh=0"
      " keys=86f95ba2768b9831 t=397.29828558866973"},
     {DirectoryMode::kQuery, Variant::kClean,
      "upd=0/0 qry=2840/113771 trans=0/0 hand=0/0/0"
@@ -173,12 +180,12 @@ TEST(SubstrateGoldenTest, ClusterSimOutputsArePinned) {
 TEST(SubstrateGoldenTest, ChaosRandomScheduleIsPinned) {
   EXPECT_EQ(summarize(chaos::run_sim_chaos(
                 chaos::make_random_schedule(42, 3, 6.0))),
-            "log=77c25c8f1484d9ab repair=52/2134 hand=0/0/0 gaps=2 pass");
+            "log=921953c7d434bcb5 repair=55/2152 hand=0/0/0 gaps=2 pass");
 }
 
 TEST(SubstrateGoldenTest, ChaosChurnScheduleIsPinned) {
   EXPECT_EQ(summarize(chaos::run_sim_chaos(chaos::churn_schedule())),
-            "log=003a773c80ca7373 repair=51/1698 hand=1/137/1 gaps=0 pass");
+            "log=02595cb732fcfa6c repair=54/1764 hand=1/137/1 gaps=0 pass");
 }
 
 // ---- semantics the shared bus takes from the TCP transport ----
