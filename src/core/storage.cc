@@ -95,27 +95,35 @@ Result<std::string_view> verify_cache_file(std::string_view file,
 Result<StorageId> MemoryBackend::put(std::string_view data,
                                      std::uint64_t key_hash) {
   (void)key_hash;  // nothing survives this process; no format to bind it to
+  auto blob = std::make_shared<const std::string>(data);  // copy unlocked
   std::lock_guard<std::mutex> lock(mutex_);
   const StorageId id = next_id_++;
-  bytes_ += data.size();
-  blobs_.emplace(id, std::string(data));
+  bytes_ += blob->size();
+  blobs_.emplace(id, std::move(blob));
   return id;
 }
 
 Result<std::string> MemoryBackend::get(StorageId id) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = blobs_.find(id);
-  if (it == blobs_.end()) {
+  const auto blob = resident(id);
+  if (!blob) {
     return Status(StatusCode::kNotFound, "no blob " + std::to_string(id));
   }
-  return it->second;
+  return *blob;  // the copy runs with the mutex released
+}
+
+std::shared_ptr<const std::string> MemoryBackend::resident(StorageId id) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = blobs_.find(id);
+  return it == blobs_.end() ? nullptr : it->second;
 }
 
 void MemoryBackend::erase(StorageId id) {
+  std::shared_ptr<const std::string> blob;  // freed after unlocking
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = blobs_.find(id);
   if (it == blobs_.end()) return;
-  bytes_ -= it->second.size();
+  bytes_ -= it->second->size();
+  blob = std::move(it->second);
   blobs_.erase(it);
 }
 

@@ -3,7 +3,7 @@
 // The paper stores each cached result in its own operating-system file and
 // keeps only the directory in main memory, relying on the UNIX buffer cache
 // to keep hot files in RAM (§4.1). `DiskBackend` reproduces that design;
-// `MemoryBackend` serves the simulator and unit tests.
+// `MemoryBackend` keeps results on the heap instead.
 //
 // Durability (beyond the paper): every cache file is self-describing — a
 // fixed 32-byte header carrying magic, format version, the owning key's
@@ -16,6 +16,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -106,6 +107,15 @@ class StorageBackend {
   /// Removes `id`; idempotent.
   virtual void erase(StorageId id) = 0;
 
+  /// The stored content itself, shared rather than copied, when the backend
+  /// holds it in memory; the store's hot-blob cache then serves that blob
+  /// instead of a copy of it. Null when `id` is unknown or the content lives
+  /// on disk. Default: null.
+  virtual std::shared_ptr<const std::string> resident(StorageId id) {
+    (void)id;
+    return nullptr;
+  }
+
   /// Bytes currently stored (bookkeeping, not filesystem truth).
   virtual std::uint64_t bytes_stored() const = 0;
 
@@ -147,13 +157,17 @@ class StorageBackend {
   virtual FsOps* fs() const { return FsOps::real(); }
 };
 
-/// Heap-backed storage for tests and the simulator.
+/// Heap-backed storage: the store swalad and perfbench run whenever
+/// `disk_dir` is empty, and the one the simulator and unit tests use. Each
+/// result is one immutable shared blob, so `resident` hands the store's
+/// hot-blob cache the same bytes and a body is held once per node.
 class MemoryBackend final : public StorageBackend {
  public:
   using StorageBackend::put;
   Result<StorageId> put(std::string_view data, std::uint64_t key_hash) override;
   Result<std::string> get(StorageId id) override;
   void erase(StorageId id) override;
+  std::shared_ptr<const std::string> resident(StorageId id) override;
   std::uint64_t bytes_stored() const override {
     std::lock_guard<std::mutex> lock(mutex_);
     return bytes_;
@@ -161,7 +175,7 @@ class MemoryBackend final : public StorageBackend {
 
  private:
   mutable std::mutex mutex_;
-  std::unordered_map<StorageId, std::string> blobs_;
+  std::unordered_map<StorageId, std::shared_ptr<const std::string>> blobs_;
   StorageId next_id_ = 1;
   std::uint64_t bytes_ = 0;
 };

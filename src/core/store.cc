@@ -9,6 +9,24 @@
 
 namespace swala::core {
 
+namespace {
+
+/// The blob the hot-blob cache admits for `data`, stored under `id`: the
+/// backend's own blob when it keeps one in memory (a body is then resident
+/// once), else a copy. Built before the caller takes the store mutex (an
+/// 8 KB memcpy has no business inside the metadata lock). Null when the
+/// cache is off or `data` exceeds its budget.
+std::shared_ptr<const std::string> hot_candidate(const StoreLimits& limits,
+                                                 StorageBackend& backend,
+                                                 StorageId id,
+                                                 std::string_view data) {
+  if (limits.hot_bytes == 0 || data.size() > limits.hot_bytes) return nullptr;
+  if (auto shared = backend.resident(id)) return shared;
+  return std::make_shared<const std::string>(data);
+}
+
+}  // namespace
+
 CacheStore::CacheStore(StoreLimits limits, PolicyKind policy,
                        std::unique_ptr<StorageBackend> backend,
                        const Clock* clock, NodeId owner)
@@ -36,12 +54,7 @@ Result<EntryMeta> CacheStore::insert(const CacheKey& key, std::string_view data,
   auto id = backend_->put(data, key.hash());
   if (!id) return id.status();
 
-  // Candidate hot blob, copied before taking the mutex (an 8 KB memcpy has
-  // no business inside the metadata lock).
-  std::shared_ptr<const std::string> hot_blob;
-  if (limits_.hot_bytes != 0 && data.size() <= limits_.hot_bytes) {
-    hot_blob = std::make_shared<const std::string>(data);
-  }
+  auto hot_blob = hot_candidate(limits_, *backend_, id.value(), data);
 
   std::vector<Pin> doomed;
   EntryMeta meta;
@@ -168,11 +181,8 @@ std::optional<CachedResult> CacheStore::fetch(std::string_view key) {
   }
 
   // First verified read: promote to the hot-blob cache so later hits skip
-  // the disk and the checksum. Copy the blob before relocking.
-  std::shared_ptr<const std::string> promoted;
-  if (limits_.hot_bytes != 0 && data.value().size() <= limits_.hot_bytes) {
-    promoted = std::make_shared<const std::string>(data.value());
-  }
+  // the disk and the checksum. The pin keeps `pin->id` in the backend.
+  auto promoted = hot_candidate(limits_, *pin->backend, pin->id, data.value());
   {
     std::lock_guard<std::mutex> lock(mutex_);
     const auto it = entries_.find(std::string(key));

@@ -29,7 +29,8 @@
 //   enabled = true
 //   max_entries = 2000
 //   max_bytes = 0          ; 0 = unlimited
-//   hot_bytes = 67108864   ; in-memory hot-blob cache budget (0 = disabled)
+//   hot_bytes = 67108864   ; hot-blob cache budget (0 = disabled); copies
+//                          ; bodies over a disk store, shares the heap store's
 //   policy = lru           ; lru | lfu | fifo | size | gds
 //   disk_dir =             ; empty = in-memory store
 //   store = files          ; files = one file per entry (the paper's design)

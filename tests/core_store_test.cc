@@ -1,14 +1,33 @@
 // Tests for CacheStore: insert/fetch/evict, capacity limits (entries and
-// bytes), TTL expiry with a manual clock, the disk backend, and statistics.
+// bytes), TTL expiry with a manual clock, the memory store's single copy of
+// each body, the disk backend, and statistics.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
+#include <atomic>
 #include <filesystem>
+#include <thread>
 
 #include "common/clock.h"
+#include "common/random.h"
 #include "core/store.h"
 
 namespace swala::core {
 namespace {
+
+// Sanitizer allocators do not report through mallinfo2.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitizedAllocator = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
+    __has_feature(memory_sanitizer)
+constexpr bool kSanitizedAllocator = true;
+#else
+constexpr bool kSanitizedAllocator = false;
+#endif
+#else
+constexpr bool kSanitizedAllocator = false;
+#endif
 
 class StoreTest : public ::testing::Test {
  protected:
@@ -192,6 +211,118 @@ TEST_F(StoreTest, GdsKeepsExpensiveEntryUnderPressure) {
       store.insert(key("/new"), "d", 0.001, 0, "t", 200, &evicted).is_ok());
   EXPECT_TRUE(store.contains(key("/dear").text));
   EXPECT_FALSE(store.contains(key("/cheap").text));
+}
+
+// ---- one copy per body over the memory store ----
+
+// With the hot-blob cache on, the memory store and the cache share one blob,
+// so 2,000 bodies of 4 KiB grow the heap by their own size plus per-entry
+// bookkeeping. Holding a second copy in the cache would more than double it.
+TEST_F(StoreTest, MemoryStoreHoldsEachBodyOnce) {
+  if (kSanitizedAllocator) {
+    GTEST_SKIP() << "sanitizer allocator does not report through mallinfo2";
+  }
+  constexpr std::size_t kBodies = 2000;
+  constexpr std::size_t kBodyBytes = 4096;
+  StoreLimits limits;
+  limits.max_entries = kBodies;
+  limits.hot_bytes = 64u << 20;
+  auto store = make_store(limits);
+  std::vector<CacheKey> keys;
+  keys.reserve(kBodies);
+  for (std::size_t i = 0; i < kBodies; ++i) {
+    keys.push_back(key("/cgi-bin/q?id=" + std::to_string(i)));
+  }
+  const std::string body(kBodyBytes, 'b');
+  std::vector<EntryMeta> evicted;
+
+  const std::size_t before = mallinfo2().uordblks;
+  for (const auto& k : keys) {
+    ASSERT_TRUE(
+        store.insert(k, body, 1.0, 0, "text/html", 200, &evicted).is_ok());
+  }
+  const std::size_t grown = mallinfo2().uordblks - before;
+
+  ASSERT_TRUE(evicted.empty());
+  ASSERT_EQ(store.stats().hot_bytes, kBodies * kBodyBytes);
+  EXPECT_LE(static_cast<double>(grown), 1.5 * kBodies * kBodyBytes)
+      << (static_cast<double>(grown) / kBodies) << " heap bytes per entry";
+}
+
+/// Body of generation `gen` of key `k`: a header naming both, then filler
+/// derived from them, 1-3 KiB long, so a served body can be checked byte
+/// for byte without shared state.
+std::string storm_body(int k, std::uint64_t gen) {
+  std::string body =
+      "k=" + std::to_string(k) + " g=" + std::to_string(gen) + "|";
+  const std::size_t size =
+      1024 + (gen * 131 + static_cast<std::uint64_t>(k) * 17) % 2048;
+  while (body.size() < size) {
+    body.push_back(static_cast<char>('a' + (body.size() + gen + k) % 26));
+  }
+  return body;
+}
+
+// Fetch, same-key replace, erase and eviction race over the memory store
+// with a hot-blob cache smaller than the working set, so hits take both the
+// hot path and the backend read + promotion. Every served body must be one
+// that was inserted under its key, intact.
+TEST_F(StoreTest, MemoryStoreStormServesIntactBodies) {
+  StoreLimits limits;
+  limits.max_entries = 48;        // < key space: constant eviction
+  limits.hot_bytes = 24u << 10;   // ~12 bodies: hot LRU churns too
+  auto store = make_store(limits);
+  constexpr int kKeys = 64;
+  constexpr int kThreads = 4;
+  constexpr int kOps = 20000;
+  std::atomic<std::uint64_t> generation{0};
+  std::atomic<int> bad{0};
+
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      Rng rng(0x5709 + static_cast<std::uint64_t>(t));
+      std::vector<EntryMeta> evicted;
+      for (int op = 0; op < kOps; ++op) {
+        const int k = static_cast<int>(rng.uniform_int(0, kKeys - 1));
+        const std::string text = "GET /cgi-bin/s?k=" + std::to_string(k);
+        const int dice = static_cast<int>(rng.uniform_int(0, 99));
+        if (dice < 70) {
+          const auto hit = store.fetch(text);
+          if (!hit) continue;
+          const auto gen_at = hit->data.find(" g=");
+          const auto bar = hit->data.find('|');
+          const bool intact =
+              hit->meta.key == text && gen_at != std::string::npos &&
+              bar != std::string::npos &&
+              hit->data == storm_body(k, std::stoull(hit->data.substr(
+                                             gen_at + 3, bar - gen_at - 3)));
+          if (!intact) bad.fetch_add(1);
+        } else if (dice < 95) {
+          evicted.clear();
+          const auto body = storm_body(k, generation.fetch_add(1));
+          const auto cache_key =
+              CacheKey::make("GET", "/cgi-bin/s?k=" + std::to_string(k));
+          const auto inserted = store.insert(cache_key, body, 1.0, 0,
+                                             "text/html", 200, &evicted);
+          if (!inserted.is_ok()) bad.fetch_add(1);
+        } else {
+          store.erase(text);
+        }
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+
+  EXPECT_EQ(bad.load(), 0);
+  const StoreStats stats = store.stats();
+  EXPECT_GT(stats.hot_hits, 0u);
+  EXPECT_GT(stats.hot_misses, 0u);  // backend reads + promotions happened
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_LE(stats.hot_bytes, limits.hot_bytes);
+  EXPECT_EQ(stats.pinned_entries, 0u);
+  store.clear();
+  EXPECT_EQ(store.stats().hot_bytes, 0u);
 }
 
 // ---- disk backend ----
