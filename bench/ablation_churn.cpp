@@ -3,7 +3,7 @@
 // A 64-node cluster serves the calibrated ADL mix while the membership
 // changes underneath it: one node starts *outside* the active set and joins
 // at 30% of the trace, another decommissions gracefully at 60%. The same
-// scenario runs under all three directory cooperation schemes and is
+// scenario runs under both directory cooperation schemes and is
 // compared against a no-churn baseline of the same trace:
 //
 //   * hit-ratio retention — churn must cost at most a few points, because
@@ -134,8 +134,7 @@ int main(int argc, char** argv) {
       requests, unique, 1.0, 5399 + static_cast<unsigned>(nodes));
 
   constexpr core::DirectoryMode kModes[] = {core::DirectoryMode::kReplicated,
-                                            core::DirectoryMode::kPartitioned,
-                                            core::DirectoryMode::kQuery};
+                                            core::DirectoryMode::kPartitioned};
 
   TablePrinter table({"mode", "hit (base)", "hit (churn)", "drop (pts)",
                       "handoff fr", "transition fr", "resync ref", "lost",
@@ -167,7 +166,7 @@ int main(int argc, char** argv) {
   std::printf(
       "  \"description\": \"Membership churn under load: one staged join "
       "and one graceful decommission against a %zu-node cluster replaying "
-      "the calibrated ADL mix, under all three directory modes. Retention "
+      "the calibrated ADL mix, under both directory modes. Retention "
       "compares the churn run's hit ratio to a static-membership baseline; "
       "handoff/transition traffic (real encoded frame sizes) is compared "
       "against a full re-announce of every resident entry; the zero-loss "

@@ -3,20 +3,20 @@
 // Swala replicates its cache directory: every insert broadcasts to all
 // N-1 peers, so directory traffic grows O(n) per insert and the design
 // stops scaling somewhere in the tens of nodes. This bench runs the same
-// engine, cost model, caches and workload under the three cooperation
-// schemes the codebase now supports:
+// engine, cost model, caches and workload under the two cooperation
+// schemes the codebase supports:
 //
 //   replicated   the paper's design — broadcast every insert/erase
 //   partitioned  consistent-hash ownership — one unicast kOwnerUpdate per
 //                insert to the key's ring owner, lookups probe the owner
-//   query        ICP-style — no directory state at all; a miss multicasts
-//                a bounded kQuery sweep before executing locally
 //
 // and reports, per (mode, cluster size): hit ratio, mean response, and
 // directory traffic split into *update* frames/bytes (insert/erase
 // propagation — the part that must not grow with n) and *query*
-// frames/bytes (miss-time probes — the price the stateless modes pay
-// instead). Frames and bytes use real encoded wire sizes.
+// frames/bytes (miss-time owner probes — the price partitioned mode pays
+// instead). Frames and bytes use real encoded wire sizes. The last numbers
+// of the deleted query mode (ICP-style probe of every peer on a miss) are
+// in EXPERIMENTS.md.
 //
 // Human-readable table goes to stderr; stdout is machine-readable JSON
 // (the BENCH_PR7.json trajectory and CI's bench-smoke gate):
@@ -101,7 +101,7 @@ int main(int argc, char** argv) {
   }
 
   std::fprintf(stderr,
-               "Ablation — replicated vs partitioned vs query directory "
+               "Ablation — replicated vs partitioned directory "
                "cooperation%s\n",
                smoke ? " (smoke)" : "");
 
@@ -109,8 +109,7 @@ int main(int argc, char** argv) {
       smoke ? std::vector<std::size_t>{8}
             : std::vector<std::size_t>{64, 128, 256, 512};
   constexpr core::DirectoryMode kModes[] = {core::DirectoryMode::kReplicated,
-                                            core::DirectoryMode::kPartitioned,
-                                            core::DirectoryMode::kQuery};
+                                            core::DirectoryMode::kPartitioned};
 
   TablePrinter table({"nodes", "mode", "hit ratio", "resp (s)", "upd fr/ins",
                       "upd B/ins", "query frames", "query bytes"});
@@ -146,10 +145,10 @@ int main(int argc, char** argv) {
   std::printf(
       "  \"description\": \"Directory cooperation modes head-to-head over "
       "the calibrated-ADL simulator: replicated broadcast (the paper), "
-      "consistent-hash partitioned ownership (kOwnerUpdate unicast), and "
-      "ICP-style query-on-miss (no directory state). Update traffic is "
-      "insert/erase propagation; query traffic is miss-time probes. "
-      "Frames/bytes are real encoded wire sizes.\",\n");
+      "and consistent-hash partitioned ownership (kOwnerUpdate unicast). "
+      "Update traffic is insert/erase propagation; query traffic is "
+      "miss-time owner probes. Frames/bytes are real encoded wire "
+      "sizes.\",\n");
   std::printf("  \"smoke\": %s,\n", smoke ? "true" : "false");
   std::printf("  \"cells\": [\n");
   for (std::size_t i = 0; i < cells.size(); ++i) {
@@ -157,20 +156,18 @@ int main(int argc, char** argv) {
   }
   std::printf("  ],\n");
 
-  // Head-to-head gate at the largest size: the tentpole's claim is that
-  // both new modes cut update traffic >= 10x at 256 nodes while staying
-  // within 5 points of replicated's hit ratio.
+  // Head-to-head gate at the largest size: partitioned mode cuts update
+  // traffic >= 10x at 256 nodes while staying within 5 points of
+  // replicated's hit ratio.
   const std::size_t gate_nodes = sizes.back() == 512 ? 256 : sizes.back();
   const Cell* repl = nullptr;
   const Cell* part = nullptr;
-  const Cell* query = nullptr;
   for (const auto& c : cells) {
     if (c.nodes != gate_nodes) continue;
     if (c.mode == "replicated") repl = &c;
     if (c.mode == "partitioned") part = &c;
-    if (c.mode == "query") query = &c;
   }
-  if (repl && part && query) {
+  if (repl && part) {
     const double repl_fpi =
         per_insert(repl->report.dir_update_frames, repl->report.cache.inserts);
     const double repl_bpi =
@@ -185,19 +182,14 @@ int main(int argc, char** argv) {
                 repl_fpi);
     std::printf("    \"partitioned_update_frames_per_insert\": %.3f,\n",
                 part_fpi);
-    std::printf("    \"query_update_frames\": %llu,\n",
-                static_cast<unsigned long long>(
-                    query->report.dir_update_frames));
     std::printf("    \"partitioned_frames_cut_x\": %.1f,\n",
                 part_fpi > 0 ? repl_fpi / part_fpi : 0.0);
     std::printf("    \"partitioned_bytes_cut_x\": %.1f,\n",
                 part_bpi > 0 ? repl_bpi / part_bpi : 0.0);
     std::printf("    \"replicated_hit_ratio\": %.4f,\n",
                 hit_ratio(repl->report.cache));
-    std::printf("    \"partitioned_hit_ratio\": %.4f,\n",
+    std::printf("    \"partitioned_hit_ratio\": %.4f\n",
                 hit_ratio(part->report.cache));
-    std::printf("    \"query_hit_ratio\": %.4f\n",
-                hit_ratio(query->report.cache));
     std::printf("  }\n");
   } else {
     std::printf("  \"gate\": null\n");

@@ -98,7 +98,7 @@ def main():
 
     # Directory-mode head-to-head (8 nodes, deterministic sim): the
     # tentpole's asymptote must hold — replicated pays N-1 update
-    # frames per insert, partitioned stays O(1), query stays zero.
+    # frames per insert, partitioned stays O(1).
     # 5x (not the full-bench 10x) because 8 nodes only has 7x of
     # headroom; the 64-512 node curve lives in BENCH_PR7.json.
     repl_fpi = dirmodes["replicated_update_frames_per_insert"]
@@ -111,10 +111,6 @@ def main():
         failures.append(
             f"directory-mode cut collapsed: replicated "
             f"{repl_fpi:.2f} vs partitioned {part_fpi:.2f} frames/insert")
-    if dirmodes["query_update_frames"] != 0:
-        failures.append(
-            f"query mode sent {dirmodes['query_update_frames']} "
-            f"update frames (must be stateless)")
     hr_gap = abs(dirmodes["replicated_hit_ratio"]
                  - dirmodes["partitioned_hit_ratio"])
     if hr_gap > 0.05:

@@ -22,9 +22,7 @@ NodeGroup::NodeGroup(core::NodeId self, std::vector<MemberAddress> members,
       members_(std::move(members)),
       options_(options),
       transport_(options.fault_injector),
-      backoff_rng_(options.backoff_seed) {
-  query_rotation_.store(options.backoff_seed, std::memory_order_relaxed);
-}
+      backoff_rng_(options.backoff_seed) {}
 
 NodeGroup::~NodeGroup() { stop(); }
 
@@ -438,67 +436,6 @@ Result<core::EntryMeta> NodeGroup::lookup_at_owner(core::NodeId ring_owner,
   }
   ++stats_.query_hits;
   return resp.value().meta;
-}
-
-Result<core::EntryMeta> NodeGroup::query_peers(const std::string& key,
-                                               int budget_ms) {
-  // Bounded sequential probe: each healthy peer gets at most
-  // query_timeout_ms, and the whole sweep never exceeds the overall budget
-  // (the request deadline when one is known). The first "found" wins.
-  //
-  // Probe order rotates (seeded per node) and visits healthy peers before
-  // suspects: a fixed slot order would aim every sweep's first probe — and
-  // therefore most of the budget — at the same peer, and a suspect probed
-  // early can eat the whole budget in timeouts before a healthy peer that
-  // has the entry is ever asked.
-  const auto start = std::chrono::steady_clock::now();
-  const int overall = budget_ms > 0 ? budget_ms : options_.fetch_timeout_ms;
-  const std::size_t n = peers_.size();
-  if (n == 0) return Status(StatusCode::kNotFound, "no peer caches this key");
-  const std::size_t offset = static_cast<std::size_t>(
-      query_rotation_.fetch_add(1, std::memory_order_relaxed) % n);
-  std::vector<core::NodeId> order;
-  order.reserve(n);
-  for (int pass = 0; pass < 2; ++pass) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const core::NodeId peer = peers_[(offset + i) % n]->address.id;
-      if (!protocol_.member_active(peer)) continue;
-      const PeerState state = protocol_.peer_state(peer);
-      if (state == PeerState::kDead) continue;
-      if ((state == PeerState::kHealthy) == (pass == 0)) order.push_back(peer);
-    }
-  }
-  bool every_peer_answered = true;
-  for (const core::NodeId peer : order) {
-    const int elapsed = static_cast<int>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count());
-    const int remaining = overall - elapsed;
-    if (remaining <= 0) {
-      every_peer_answered = false;
-      break;
-    }
-    ++stats_.queries_sent;
-    const int io_timeout_ms = std::min(options_.query_timeout_ms, remaining);
-    const int connect_timeout_ms =
-        std::min(options_.connect_timeout_ms, io_timeout_ms);
-    auto resp = data_exchange(peer, Message::query(self_, key),
-                              MsgType::kQueryHit, io_timeout_ms,
-                              connect_timeout_ms);
-    if (!resp) {
-      every_peer_answered = false;  // timeout/dead: treat as silence, move on
-      continue;
-    }
-    if (resp.value().found) {
-      ++stats_.query_hits;
-      return resp.value().meta;
-    }
-  }
-  if (every_peer_answered) {
-    return Status(StatusCode::kNotFound, "no peer caches this key");
-  }
-  return Status(StatusCode::kTimeout, "query budget exhausted without a hit");
 }
 
 Result<Message> NodeGroup::data_exchange(core::NodeId peer_id,

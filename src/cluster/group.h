@@ -73,12 +73,6 @@ class NodeGroup final : public ProtocolBus {
   Result<core::EntryMeta> lookup_at_owner(core::NodeId ring_owner,
                                           const std::string& key,
                                           int budget_ms) override;
-  // Query mode: a bounded sequential probe of the healthy peers (ICP uses
-  // UDP multicast; over TCP the pooled data connections make a short
-  // request/response round cheap). Total time never exceeds `budget_ms`
-  // (<=0 = fetch_timeout_ms); each peer gets at most query_timeout_ms.
-  Result<core::EntryMeta> query_peers(const std::string& key,
-                                      int budget_ms) override;
   GroupStats stats() const { return protocol_.stats(); }
 
   /// Health snapshot of every peer (excludes self).
@@ -124,7 +118,7 @@ class NodeGroup final : public ProtocolBus {
 
   /// One request/response round on the data channel: pooled connection,
   /// breaker fast-fail, one stale-pool retry, success/failure recording.
-  /// Shared by fetch_remote, lookup_at_owner, query_peers and the
+  /// Shared by fetch_remote, lookup_at_owner and the
   /// protocol's own requests. Timeouts are explicit because the callers
   /// budget differently.
   Result<Message> data_exchange(core::NodeId peer_id, const Message& request,
@@ -159,10 +153,6 @@ class NodeGroup final : public ProtocolBus {
 
   std::mutex backoff_mutex_;
   Rng backoff_rng_;  // guarded by backoff_mutex_
-
-  /// Rotating start offset for query_peers sweeps (seeded from backoff_seed
-  /// so probe order is deterministic per node yet differs across nodes).
-  std::atomic<std::uint64_t> query_rotation_{0};
 };
 
 /// Builds loopback member addresses with ephemeral ports for `n` in-process

@@ -33,7 +33,7 @@ enum class MsgType : std::uint8_t {
   kSyncReq = 7,     ///< "re-announce your cached entries to me" (rejoin)
   kBatch = 8,       ///< several info-channel updates packed into one frame
   kOwnerUpdate = 9, ///< partitioned mode: unicast insert/erase to ring owner
-  kQuery = 10,      ///< query mode: "do you know who caches this key?"
+  kQuery = 10,      ///< owner probe: "do you know who caches this key?"
   kQueryHit = 11,   ///< answer to kQuery (meta when found)
   kDigest = 12,     ///< anti-entropy round: epoch vector + directory digest
   kInvSync = 13,    ///< "send me the invalidations after these floors"

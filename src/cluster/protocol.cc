@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "core/locator.h"
 
 namespace swala::cluster {
 
@@ -133,21 +134,34 @@ Outbox Protocol::on_send_result(core::NodeId peer, bool ok) {
   return out;
 }
 
-void Protocol::push_state_to(core::NodeId peer, Outbox* out) {
+namespace {
+
+/// Renders a manager's state push as frames from `self` to `peer`.
+class OutboxSink final : public core::PeerSink {
+ public:
+  OutboxSink(core::NodeId self, core::NodeId peer, Outbox* out)
+      : self_(self), peer_(peer), out_(out) {}
+
+  void insert(const core::EntryMeta& meta) override {
+    out_->push_back({peer_, Message::insert(self_, meta)});
+  }
+  void owner_insert(const core::EntryMeta& meta) override {
+    out_->push_back({peer_, Message::owner_insert(self_, meta)});
+  }
+
+ private:
+  core::NodeId self_;
+  core::NodeId peer_;
+  Outbox* out_;
+};
+
+}  // namespace
+
+void Protocol::push_state_to(core::NodeId peer, Outbox* out, bool joining) {
   core::CacheManager* m = manager();
   if (m == nullptr) return;
-  const auto mode = m->directory_mode();
-  if (mode == core::DirectoryMode::kQuery) return;  // no remote state to sync
-  for (const auto& meta : m->store().resident_metas()) {
-    if (mode == core::DirectoryMode::kReplicated) {
-      out->push_back({peer, Message::insert(self_, meta)});
-    } else if (m->ring_owner_of(meta.key) == peer) {
-      // Partitioned: a rejoining owner lost its partition; re-announce only
-      // the entries it owns (every survivor does this, so the owner's view
-      // of the whole partition converges).
-      out->push_back({peer, Message::owner_insert(self_, meta)});
-    }
-  }
+  OutboxSink sink(self_, peer, out);
+  m->locator().push_state(peer, &sink, joining);
 }
 
 Message Protocol::make_hello() const {
@@ -157,7 +171,8 @@ Message Protocol::make_hello() const {
   // is no log yet: an empty vector and membership epoch 0.
   core::CacheManager* m = manager();
   if (m == nullptr) return Message::hello(self_, {}, 0);
-  return Message::hello(self_, m->inv_high_vector(), m->membership_epoch());
+  return Message::hello(self_, m->inv_log().high_vector(),
+                        m->membership_epoch());
 }
 
 // ---- timers ----
@@ -183,19 +198,16 @@ void Protocol::anti_entropy_round(Outbox* out) {
   // as permanent drift to peers that already cleared its table.
   if (!m->is_member(self_) || m->decommissioning()) return;
   ++stats_.anti_entropy_rounds;
-  const auto high = m->inv_high_vector();
-  // Query mode keeps no remote directory state to compare, so its digest
-  // is omitted; the epoch vector still repairs lost invalidations.
-  const bool has_digest = m->directory_mode() != core::DirectoryMode::kQuery;
+  const auto high = m->inv_log().high_vector();
   for (auto& peer : peers_) {
     if (!peer->active.load(std::memory_order_acquire)) continue;
     if (state_of(peer.get()) == PeerState::kDead) continue;  // probes do it
     std::size_t entries = 0;
-    const std::uint64_t digest =
-        has_digest ? m->digest_for_peer(peer->id, &entries) : 0;
+    const std::uint64_t digest = m->digest_for_peer(peer->id, &entries);
     ++stats_.digests_sent;
-    out->push_back(
-        {peer->id, Message::make_digest(self_, high, has_digest, digest)});
+    out->push_back({peer->id, Message::make_digest(self_, high,
+                                                   /*has_digest=*/true,
+                                                   digest)});
   }
 }
 
@@ -222,10 +234,11 @@ void Protocol::maybe_pull_inv_sync(core::NodeId peer,
                                    Outbox* out) {
   if (high.empty()) return;
   core::CacheManager* m = manager();
-  if (m == nullptr || !m->inv_behind(high)) return;
+  if (m == nullptr || !m->inv_log().behind(high)) return;
   ++stats_.inv_syncs_pulled;
   trace("epoch gap behind node " + std::to_string(peer) + "; pulling");
-  out->push_back({peer, Message::inv_sync(self_, m->inv_floor_vector())});
+  out->push_back(
+      {peer, Message::inv_sync(self_, m->inv_log().floor_vector())});
 }
 
 void Protocol::check_digest(core::NodeId peer, std::uint64_t digest,
@@ -356,8 +369,8 @@ void Protocol::apply_info_message(const Message& msg, Outbox* out) {
     case MsgType::kOwnerUpdate:
       // Partitioned-mode unicast. A mis-routed frame (we are not this key's
       // ring owner) still carries true information, so apply it anyway:
-      // apply_insert/apply_erase bounds-check the cache node id, and
-      // answer_query serves from every table.
+      // apply_insert/apply_erase bounds-check the cache node id, and the
+      // owner probe is answered from every table.
       if (m == nullptr) break;
       if (msg.owner_op == OwnerOp::kInsert) {
         m->on_peer_insert(msg.meta);
@@ -390,11 +403,12 @@ std::optional<Message> Protocol::answer(const Message& request, Outbox* out) {
                                        std::move(result.value().data));
     }
     case MsgType::kQuery: {
-      // Directory probe (partitioned owner lookup or query-mode kQuery):
-      // answer from the directory alone, never touching the blob store.
+      // Partitioned owner lookup: answer from the directory alone (every
+      // table: a partition spans the per-cache-node tables), never touching
+      // the blob store.
       ++stats_.queries_served;
       if (m != nullptr) {
-        if (auto meta = m->answer_query(request.key)) {
+        if (auto meta = m->directory().lookup(request.key)) {
           return Message::query_hit(self_, *meta);
         }
       }
@@ -406,7 +420,8 @@ std::optional<Message> Protocol::answer(const Message& request, Outbox* out) {
       ++stats_.inv_syncs_served;
       if (m == nullptr) return Message::inv_sync_resp(self_, {}, false);
       bool truncated = false;
-      auto entries = m->inv_entries_after(request.epochs, &truncated);
+      auto entries =
+          m->inv_log().entries_after(request.epochs, &truncated);
       return Message::inv_sync_resp(self_, std::move(entries), truncated);
     }
     case MsgType::kJoin: {
@@ -426,13 +441,9 @@ std::optional<Message> Protocol::answer(const Message& request, Outbox* out) {
             " (remapped " + std::to_string(hs.records) +
             " records, re-announced " + std::to_string(hs.entries) +
             " entries)");
-      // Replicated mode: the newcomer starts with an empty directory, so
-      // ship it our entries (in partitioned mode member_joined already
-      // re-announced exactly the remapped ranges).
-      if (p != nullptr &&
-          m->directory_mode() == core::DirectoryMode::kReplicated) {
-        push_state_to(request.sender, out);
-      }
+      // Whatever the newcomer needs beyond member_joined's forwarding
+      // (replicated mode: our whole table; partitioned: nothing more).
+      if (p != nullptr) push_state_to(request.sender, out, /*joining=*/true);
       return Message::join_ack(self_, m->membership_epoch(),
                                m->active_members());
     }

@@ -56,7 +56,7 @@ struct GroupOptions {
   /// opens a connection per fetch, as the original Swala did).
   std::size_t fetch_pool_size = 4;
   /// Per-exchange ceiling for directory probes (partitioned-mode owner
-  /// lookups and query-mode kQuery probes). Deliberately much tighter than
+  /// lookups, kQuery). Deliberately much tighter than
   /// fetch_timeout_ms: a probe is an optimization, and a slow answer must
   /// not delay the local-execution fallback.
   int query_timeout_ms = 300;
@@ -308,8 +308,10 @@ class Protocol {
   /// Closes the breaker; a dead peer's recovery resyncs both directions.
   void record_success(Peer* peer, Outbox* out);
   void record_failure(Peer* peer);
-  /// Re-announces every locally cached entry to `peer` (mode-aware).
-  void push_state_to(core::NodeId peer, Outbox* out);
+  /// Re-announces what `peer` should know of the local cache after a
+  /// resync or, with `joining`, on admission (the manager's locator picks
+  /// the entries and the frame type).
+  void push_state_to(core::NodeId peer, Outbox* out, bool joining = false);
   /// Requests the missed invalidations when `high` proves we are behind.
   void maybe_pull_inv_sync(core::NodeId peer, const core::EpochVector& high,
                            Outbox* out);

@@ -110,4 +110,19 @@ std::uint32_t HashRing::owner_of(std::string_view key) const {
   return it->second;
 }
 
+std::uint32_t HashRing::successor_of(std::string_view key,
+                                     std::uint32_t leaving) const {
+  const std::uint64_t h = mix64(fnv1a64(key));
+  const auto first = std::upper_bound(
+      points_.begin(), points_.end(), h,
+      [](std::uint64_t value, const auto& p) { return value < p.first; });
+  // Walk on from the owner's point, wrapping once, past `leaving`'s points.
+  const std::size_t start = static_cast<std::size_t>(first - points_.begin());
+  for (std::size_t i = 0; i < points_.size(); ++i) {
+    const auto& point = points_[(start + i) % points_.size()];
+    if (point.second != leaving) return point.second;
+  }
+  return kNoOwner;
+}
+
 }  // namespace swala

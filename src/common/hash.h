@@ -66,6 +66,11 @@ class HashRing {
   /// The member owning `key`, or kNoOwner when the ring is empty.
   std::uint32_t owner_of(std::string_view key) const;
 
+  /// The member that owns `key` once `leaving` is removed, without building
+  /// that ring; kNoOwner when no other member is left.
+  std::uint32_t successor_of(std::string_view key,
+                             std::uint32_t leaving) const;
+
   std::size_t num_nodes() const { return nodes_.size(); }
   std::size_t num_points() const { return points_.size(); }
   std::uint64_t seed() const { return seed_; }

@@ -3,30 +3,46 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "core/manager.h"
+#include "core/locator.h"
 
 namespace swala::core {
+
+namespace {
+
+/// Appends " label=[k1, k2, …]" for a non-empty key list, capped at eight
+/// keys so failure messages stay readable.
+void append_keys(std::string* out, const char* label,
+                 const std::vector<std::string>& keys) {
+  if (keys.empty()) return;
+  *out += std::string(" ") + label + "=[";
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    if (i != 0) *out += ", ";
+    if (i == 8) {
+      *out += "… +" + std::to_string(keys.size() - i) + " more";
+      break;
+    }
+    *out += keys[i];
+  }
+  *out += "]";
+}
+
+std::string members_to_string(const std::vector<NodeId>& members) {
+  std::string out = "{";
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    if (i != 0) out += ",";
+    out += std::to_string(members[i]);
+  }
+  return out + "}";
+}
+
+}  // namespace
 
 std::string ConsistencyReport::to_string() const {
   std::string out = "store=" + std::to_string(store_entries) +
                     " directory=" + std::to_string(directory_entries);
   if (consistent()) return out + " (consistent)";
-  const auto append = [&out](const char* label,
-                             const std::vector<std::string>& keys) {
-    if (keys.empty()) return;
-    out += std::string(" ") + label + "=[";
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      if (i != 0) out += ", ";
-      if (i == 8) {  // keep failure messages readable
-        out += "… +" + std::to_string(keys.size() - i) + " more";
-        break;
-      }
-      out += keys[i];
-    }
-    out += "]";
-  };
-  append("missing_in_directory", missing_in_directory);
-  append("stale_in_directory", stale_in_directory);
+  append_keys(&out, "missing_in_directory", missing_in_directory);
+  append_keys(&out, "stale_in_directory", stale_in_directory);
   return out;
 }
 
@@ -59,29 +75,11 @@ std::string ClusterConsistencyReport::to_string() const {
   for (std::size_t i = 0; i < per_node.size(); ++i) {
     out += "node " + std::to_string(i) + ": " + per_node[i].to_string() + "\n";
   }
-  const auto append_keys = [&out](const std::vector<std::string>& keys) {
-    out += "[";
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      if (i != 0) out += ", ";
-      if (i == 8) {
-        out += "… +" + std::to_string(keys.size() - i) + " more";
-        break;
-      }
-      out += keys[i];
-    }
-    out += "]";
-  };
   for (const auto& d : drift) {
     out += "drift: node " + std::to_string(d.viewer) + " view of node " +
            std::to_string(d.subject);
-    if (!d.missing.empty()) {
-      out += " missing=";
-      append_keys(d.missing);
-    }
-    if (!d.stale.empty()) {
-      out += " stale=";
-      append_keys(d.stale);
-    }
+    append_keys(&out, "missing", d.missing);
+    append_keys(&out, "stale", d.stale);
     out += "\n";
   }
   if (drift.empty()) out += "no cross-node drift\n";
@@ -93,19 +91,6 @@ std::string ClusterConsistencyReport::to_string() const {
   }
   return out;
 }
-
-namespace {
-
-std::string members_to_string(const std::vector<NodeId>& members) {
-  std::string out = "{";
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    if (i != 0) out += ",";
-    out += std::to_string(members[i]);
-  }
-  return out + "}";
-}
-
-}  // namespace
 
 ClusterConsistencyReport check_cluster_consistency(
     const std::vector<const CacheManager*>& managers) {
@@ -137,27 +122,31 @@ ClusterConsistencyReport check_cluster_consistency(
       }
     }
   }
-  // Post-transition ownership invariant (partitioned mode): every cached
-  // key must map to an owner the caching node itself considers active — a
-  // record announced to a departed owner would be unreachable forever.
+  // Post-transition ownership invariant (where one node holds a key's
+  // record): every cached key must map to a holder the caching node itself
+  // considers active — a record announced to a departed owner would be
+  // unreachable forever.
   for (std::size_t i = 0; i < managers.size(); ++i) {
     const CacheManager* m = managers[i];
-    if (m == nullptr || m->directory_mode() != DirectoryMode::kPartitioned) {
-      continue;
-    }
+    if (m == nullptr) continue;
     for (const auto& key : m->store().keys()) {
-      const NodeId owner = m->ring_owner_of(key);
-      if (!m->is_member(owner)) {
+      const auto holder = m->locator().record_holder(key);
+      if (holder && !m->is_member(*holder)) {
         report.ownership_violations.push_back(
             "node " + std::to_string(i) + ": key \"" + key +
-            "\" maps to inactive owner " + std::to_string(owner));
+            "\" maps to inactive owner " + std::to_string(*holder));
       }
     }
   }
+  // Whether `viewer` should hold `key`'s record, as `judge` places it.
+  const auto tracks = [](const CacheManager* judge, const std::string& key,
+                         std::size_t viewer) {
+    const auto holder = judge->locator().record_holder(key);
+    return !holder || *holder == static_cast<NodeId>(viewer);
+  };
   for (std::size_t i = 0; i < managers.size(); ++i) {
     const CacheManager* viewer = managers[i];
     if (viewer == nullptr) continue;
-    if (viewer->directory_mode() == DirectoryMode::kQuery) continue;
     for (std::size_t j = 0; j < managers.size(); ++j) {
       const CacheManager* subject = managers[j];
       if (i == j || subject == nullptr) continue;
@@ -172,19 +161,12 @@ ClusterConsistencyReport check_cluster_consistency(
       // restricted to the keys this viewer is responsible for tracking.
       std::unordered_set<std::string> truth;
       for (const auto& key : subject->store().keys()) {
-        if (viewer->directory_mode() == DirectoryMode::kPartitioned &&
-            subject->ring_owner_of(key) != static_cast<NodeId>(i)) {
-          continue;
-        }
-        truth.insert(key);
+        if (tracks(subject, key, i)) truth.insert(key);
       }
       std::unordered_set<std::string> view;
       for (const auto& key : viewer->directory().keys_at(subject_id)) {
-        if (viewer->directory_mode() == DirectoryMode::kPartitioned &&
-            viewer->ring_owner_of(key) != static_cast<NodeId>(i)) {
-          continue;  // mis-routed record; not this viewer's responsibility
-        }
-        view.insert(key);
+        // A mis-routed record is not this viewer's responsibility.
+        if (tracks(viewer, key, i)) view.insert(key);
       }
       NodeDrift d;
       d.viewer = static_cast<NodeId>(i);

@@ -92,10 +92,10 @@ struct ClusterConsistencyReport {
 
 /// Runs the global oracle over every manager in the cluster (index i must
 /// be node i; null entries are skipped — a crashed node has no view to
-/// check). Mode-aware: replicated compares every viewer's table[j] against
-/// node j's store; partitioned compares viewer i's table[j] against the
-/// subset of node j's store that i owns on the ring; query mode keeps no
-/// remote tables, so only the per-node checks run. Quarantined tables are
+/// check). Each manager's record_holder says who tracks a key: replicated
+/// compares every viewer's table[j] against node j's store; partitioned
+/// compares viewer i's table[j] against the subset of node j's store that
+/// i owns on the ring. Quarantined tables are
 /// skipped (a dead peer's table is deliberately stale pending resync).
 /// Exactness requires the caller to quiesce traffic first.
 ///

@@ -20,7 +20,6 @@ const char* directory_mode_name(DirectoryMode mode) {
   switch (mode) {
     case DirectoryMode::kReplicated: return "replicated";
     case DirectoryMode::kPartitioned: return "partitioned";
-    case DirectoryMode::kQuery: return "query";
   }
   return "?";
 }
@@ -28,7 +27,6 @@ const char* directory_mode_name(DirectoryMode mode) {
 std::optional<DirectoryMode> directory_mode_from_name(std::string_view name) {
   if (name == "replicated") return DirectoryMode::kReplicated;
   if (name == "partitioned") return DirectoryMode::kPartitioned;
-  if (name == "query") return DirectoryMode::kQuery;
   return std::nullopt;
 }
 

@@ -38,21 +38,19 @@ enum class LockingMode { kWholeDirectory, kPerTable, kPerEntry, kMultiGranularit
 
 const char* locking_mode_name(LockingMode mode);
 
-/// How nodes share directory state (cluster.directory_mode).
+/// How nodes share directory state (cluster.directory_mode). Each mode is
+/// one core::Locator (core/locator.h), chosen when the manager is built.
 ///
 ///   kReplicated  — the paper's scheme: every insert/erase broadcasts so all
 ///                  nodes mirror all tables. O(n) frames per insert.
 ///   kPartitioned — a consistent-hash ring maps each key to one owner node
 ///                  that alone holds its directory entry; updates are unicast
 ///                  kOwnerUpdate frames, misses ask the owner. O(1) frames.
-///   kQuery       — no remote directory state: a miss multicasts a bounded
-///                  kQuery/kQueryHit exchange (ICP-style) before falling back
-///                  to local execution. Zero insert traffic, per-miss probes.
-enum class DirectoryMode { kReplicated, kPartitioned, kQuery };
+enum class DirectoryMode { kReplicated, kPartitioned };
 
 const char* directory_mode_name(DirectoryMode mode);
 
-/// Parses "replicated" | "partitioned" | "query"; nullopt on anything else.
+/// Parses "replicated" | "partitioned"; nullopt on anything else.
 std::optional<DirectoryMode> directory_mode_from_name(std::string_view name);
 
 /// Aggregate directory statistics for experiments.
@@ -138,7 +136,6 @@ class CacheDirectory {
 
   NodeId self() const { return self_; }
   std::size_t num_nodes() const { return tables_.size(); }
-  LockingMode locking_mode() const { return mode_; }
 
   DirectoryStats stats() const { return stats_; }
 

@@ -6,6 +6,11 @@
 // Cooperation with the rest of the group goes through the `CooperationBus`
 // interface; the real TCP implementation lives in src/cluster, an in-memory
 // one in src/sim and the tests. A null bus produces a stand-alone cache.
+// Everything that depends on the directory mode (announcing, find-on-miss,
+// digests, placement across membership changes) is the job of the
+// manager's Locator (core/locator.h), chosen once at construction; the
+// manager itself keeps the store, single-flight, the negative cache, the
+// invalidation log, persistence and the active member set.
 //
 // Commit protocol: every path that changes the local store's membership
 // (complete, invalidate, on_peer_invalidate, purge_expired, the false-hit
@@ -18,13 +23,14 @@
 // the commit mutex across them cannot deadlock or stall on a slow peer.
 // Peer-table updates (on_peer_insert/on_peer_erase) stay outside the
 // section: they never touch the local store and are weakly consistent by
-// design. Each committed section bumps `commit_sequence()`.
+// design. Each committed section bumps `commit_sequence()`. Lock order:
+// commit_mutex_ → members_mutex_, and commit_mutex_ → the locator's own
+// lock; membership transitions never hold commit_mutex_.
 #pragma once
 
 #include <atomic>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <shared_mutex>
 #include <unordered_map>
 #include <vector>
@@ -89,7 +95,7 @@ class CooperationBus {
     broadcast_invalidate(pattern);
   }
 
-  // ---- partitioned mode (DirectoryMode::kPartitioned) ----
+  // ---- partitioned mode ----
   // Defaults are no-ops / unavailable so replicated-only buses need not
   // care; the TCP group and the simulator override them.
 
@@ -120,11 +126,9 @@ class CooperationBus {
     return Status(StatusCode::kUnavailable, "no partitioned-mode transport");
   }
 
-  // ---- query mode (DirectoryMode::kQuery) ----
-
-  /// Probes the peers for a cached copy of `key` (ICP-style, bounded by
-  /// `budget_ms`; <=0 = transport default). kNotFound = every peer that
-  /// answered in time reported a miss.
+  /// Left from the deleted query mode; nothing in the cache calls it. Kept
+  /// only because perfbench's TracingBus overrides it, and perfbench is
+  /// changed only together with its benchmark: that change deletes both.
   virtual Result<EntryMeta> query_peers(const std::string& key,
                                         int budget_ms) {
     (void)key;
@@ -163,6 +167,8 @@ enum class LookupOutcome {
 
 /// One in-flight execution of a key (single-flight); defined in manager.cc.
 struct InFlight;
+
+class Locator;
 
 struct LookupResult {
   LookupOutcome outcome = LookupOutcome::kUncacheable;
@@ -204,10 +210,6 @@ struct ManagerStats {
   Counter remote_dir_lookups;
   /// ... of which the owner knew a cached copy.
   Counter remote_dir_hits;
-  /// Query mode: misses that probed the peers (kQuery multicast).
-  Counter peer_queries;
-  /// ... of which some peer advertised a cached copy.
-  Counter peer_query_hits;
 
   // ---- overload protection (single-flight miss coalescing) ----
   /// Misses that rode another request's in-flight execution instead of
@@ -307,16 +309,16 @@ struct ManagerOptions {
   /// lookups within the window fail fast (kFailedFast) instead of
   /// re-executing a CGI that just failed. 0 disables the negative cache.
   double negative_ttl_seconds = 1.0;
-  /// How directory state is shared across the group (see DirectoryMode).
+  /// How directory state is shared (DirectoryMode; picks the Locator).
   /// Every node must agree on the mode, seed and vnode count.
   DirectoryMode directory_mode = DirectoryMode::kReplicated;
   /// Consistent-hash placement parameters (partitioned mode only). The ring
   /// covers the *active* membership: initially `initial_members` (or all of
   /// [0, num_nodes) when empty), then member_joined/member_left resize it —
   /// only the remapped key ranges migrate, and a dual-read window (probe
-  /// the pre-transition owner first) covers the migration. A dead owner's
-  /// key range is still handled by quarantine + local-execution fallback,
-  /// not by resizing (an unplanned death hands nothing off).
+  /// the pre-transition owner first) covers it for kRingSettleSeconds. A
+  /// dead owner's key range is handled by quarantine + local-execution
+  /// fallback, not by resizing (an unplanned death hands nothing off).
   std::uint64_t ring_seed = HashRing::kDefaultSeed;
   std::size_t ring_vnodes = HashRing::kDefaultVnodes;
   /// Active members at construction. Empty = every slot [0, num_nodes).
@@ -334,6 +336,7 @@ class CacheManager {
   CacheManager(NodeId self, std::size_t num_nodes, ManagerOptions options,
                const Clock* clock, CooperationBus* bus = nullptr,
                LockingMode locking = LockingMode::kPerTable);
+  ~CacheManager();
 
   // ---- Request-thread API (Figure 2) ----
 
@@ -384,12 +387,6 @@ class CacheManager {
   /// Serves a peer's data request from the local store.
   Result<CachedResult> serve_peer_fetch(const std::string& key);
 
-  /// Answers a peer's kQuery / owner-lookup probe: who caches `key`?
-  /// Query mode answers from the self table alone (that is all the state
-  /// the mode keeps, and it keeps the probe O(1)); partitioned owners scan
-  /// every table (their partition is spread across per-cache-node tables).
-  std::optional<EntryMeta> answer_query(const std::string& key) const;
-
   /// Purge daemon tick: drop expired local entries, broadcast the erases.
   /// Also the durability heartbeat: checkpoints the manifest when
   /// `state_file` is set and the checkpoint interval has elapsed. Returns
@@ -412,22 +409,11 @@ class CacheManager {
 
   // ---- Anti-entropy repair (epoch log + digest exchange) ----
 
-  /// Highest invalidation epoch applied per origin (piggybacked on HELLO
-  /// and the periodic kDigest round).
-  EpochVector inv_high_vector() const;
-
-  /// Contiguous floor per origin (what our kInvSync pull asks "after").
-  EpochVector inv_floor_vector() const;
-
-  /// True when a peer's advertised high-water vector proves we may have
-  /// missed an invalidation (gap detected → pull via kInvSync).
-  bool inv_behind(const EpochVector& peer_high) const;
-
-  /// Serves a peer's kInvSync pull: every logged record above the
-  /// requester's floors. Sets `*truncated` when the log already evicted
-  /// records the requester needs.
-  std::vector<InvalidationRecord> inv_entries_after(const EpochVector& floors,
-                                                    bool* truncated) const;
+  /// The epoch-stamped invalidation log: its high-water vector rides HELLO
+  /// and kDigest, its floors are what a kInvSync pull asks "after", and it
+  /// serves peers' pulls. Thread-safe; this node applies records through
+  /// invalidate, on_peer_invalidate and apply_inv_sync only.
+  const InvalidationLog& inv_log() const { return inv_log_; }
 
   /// Applies a kInvSyncResp: admits each record through the duplicate
   /// filter and applies the new ones (counting inv_epoch_gaps_repaired and
@@ -437,28 +423,19 @@ class CacheManager {
   std::size_t apply_inv_sync(const std::vector<InvalidationRecord>& entries,
                              bool truncated);
 
-  /// Order-independent xor digest of (key, version) pairs this node expects
-  /// `peer` to hold in its directory for us: replicated mode digests our
-  /// whole self table; partitioned mode digests the subset of our store
-  /// owned by `peer` on the ring; query mode keeps no peer state (0/empty).
-  /// `*entries` gets the number of pairs digested.
+  /// Order-independent xor digests of the (key, version) pairs this node
+  /// expects `peer` to hold for us, and of those we hold for `peer` (the
+  /// locator decides who holds what); `*entries` gets the pair count.
   std::uint64_t digest_for_peer(NodeId peer, std::size_t* entries) const;
-
-  /// The receiving side of the comparison: digest of what we actually hold
-  /// in our table for `peer` (replicated: table[peer]; partitioned:
-  /// table[peer] filtered to keys whose ring owner is us, so mis-routed
-  /// frames cannot cause a persistent mismatch).
   std::uint64_t digest_of_peer_table(NodeId peer, std::size_t* entries) const;
 
   // ---- Dynamic membership (PR10) ----
   //
   // Capacity (directory tables, id space) is fixed at config time; the
   // *active set* within [0, num_nodes) is mutable. A join activates a slot,
-  // a decommission deactivates one. In partitioned mode each transition
-  // resizes the consistent-hash ring: only the remapped key ranges migrate
-  // (targeted kOwnerUpdate forwarding), and until finish_ring_transition()
-  // lookups run a dual-read window — probe the pre-transition owner first,
-  // then the new one — so no lookup misses during migration.
+  // a decommission deactivates one; the locator moves whatever placement
+  // depends on the set (partitioned mode: the ring, under a dual-read
+  // window of kRingSettleSeconds).
 
   /// What a membership transition or decommission handoff actually sent.
   struct HandoffStats {
@@ -478,24 +455,20 @@ class CacheManager {
   bool is_member(NodeId node) const;
 
   /// Activates `node` (two-phase join, activation side): adds it to the
-  /// active set and the ring, bumps the membership epoch, clears any stale
-  /// table state, and — in partitioned mode — opens the dual-read window
-  /// and forwards the remapped slice (directory records this node owns that
-  /// now map to `node`, plus re-announcing own entries whose owner moved).
-  /// Idempotent: a no-op (zero stats, no epoch bump) if already active.
+  /// active set, bumps the membership epoch, clears any stale table state,
+  /// and lets the locator forward what the change remapped. Idempotent: a
+  /// no-op (zero stats, no epoch bump) if already active.
   HandoffStats member_joined(NodeId node);
 
   /// Deactivates `node` (graceful decommission observed, or operator
-  /// removal): removes it from the active set and the ring, bumps the
-  /// epoch, clears its table *without* quarantining (the leaver handed its
-  /// state off; quarantine is for the unplanned-death path), opens the
-  /// dual-read window, and re-announces own entries whose owner moved.
-  /// Idempotent. Self-removal is rejected (use begin_decommission).
+  /// removal), as member_joined does in reverse; its table is cleared
+  /// *without* quarantining (the leaver handed its state off; quarantine is
+  /// for the unplanned-death path). Idempotent. Self-removal is rejected
+  /// (use begin_decommission).
   HandoffStats member_left(NodeId node);
 
-  /// Joiner side of kJoinAck: adopt the responder's membership view.
-  /// Rebuilds the active set (self is always retained) and — in partitioned
-  /// mode — the ring, with a dual-read window over the change; the epoch
+  /// Joiner side of kJoinAck: adopt the responder's membership view (self
+  /// is always retained) and re-announce the whole store to it; the epoch
   /// advances to at least `epoch`.
   void adopt_membership(std::uint64_t epoch,
                         const std::vector<NodeId>& members);
@@ -509,28 +482,15 @@ class CacheManager {
   /// Decommission step 2: ship every cached entry (meta + body) to its
   /// post-removal successor via the bus's handoff channel — bodies larger
   /// than `batch_bytes` are skipped (a lost cache entry costs one future
-  /// re-execution, never correctness; 0 = no cap) — and, in partitioned
-  /// mode, forward this node's directory partition to its new owners.
+  /// re-execution, never correctness; 0 = no cap) — and forward the
+  /// directory records this node holds for others to their next holders.
   HandoffStats handoff_state(std::uint64_t batch_bytes);
-
-  /// The node that takes over `key` once this node leaves: the ring owner
-  /// with self removed (partitioned), or a key-hash pick among the other
-  /// active members (replicated/query). Self when no other member exists.
-  NodeId successor_for(const std::string& key) const;
 
   /// Receiving side of the handoff channel: adopt a shipped entry into the
   /// local store (one commit section: insert + directory + announce).
   /// Skipped — returns false — when already cached locally, expired, being
   /// decommissioned ourselves, or the store rejects it.
   bool adopt_entry(const EntryMeta& meta, const std::string& body);
-
-  /// Closes the dual-read window (lookups stop probing the old owner).
-  /// The next transition reopens it over the latest change.
-  void finish_ring_transition();
-  bool ring_transition_active() const;
-
-  /// Current ring transition counter (HashRing::version).
-  std::uint64_t ring_version() const;
 
   // ---- Peer failure handling (cluster circuit breaker) ----
 
@@ -584,10 +544,9 @@ class CacheManager {
   NodeId self() const { return self_; }
   DirectoryMode directory_mode() const { return options_.directory_mode; }
 
-  /// The node owning `key`'s directory entry on the consistent-hash ring.
-  /// Outside partitioned mode (or on an empty ring) this is `self`, so
-  /// callers can treat "owner == self" uniformly as "no remote owner".
-  NodeId ring_owner_of(const std::string& key) const;
+  /// The directory mode's read side: where a key's record belongs, the
+  /// state pushes cluster::Protocol sends, the dual-read window.
+  const Locator& locator() const { return *locator_; }
 
   /// Cross-verifies the store's key set against the directory self-table
   /// under the commit mutex, so the answer is exact (no commit can be half
@@ -609,37 +568,24 @@ class CacheManager {
     std::string reason;
   };
 
-  /// Partitioned-mode probe of one candidate directory owner (current or
-  /// pre-transition). True when the lookup was satisfied (`out` is a hit).
-  bool probe_dir_owner(LookupResult* out, NodeId owner_node,
-                       const std::string& key, const Deadline& deadline);
+  /// Fetches `meta` from its caching node and fills `out` on success. A
+  /// false hit (kNotFound) drops the local record of the copy; any other
+  /// failure counts a fallback_execution.
+  Status fetch_hit_from(LookupResult* out, const EntryMeta& meta,
+                        const Deadline& deadline);
 
-  /// `key`'s owner under the pre-transition ring, or the current owner when
-  /// no dual-read window is open (so prev != current ⇔ dual read needed).
-  NodeId prev_ring_owner_of(const std::string& key) const;
+  /// The insert half of a commit section (caller holds commit_mutex_):
+  /// store insert, eviction erases and announcements. True when stored.
+  bool commit_insert(const CacheKey& key, const std::string& body,
+                     double cost_seconds, double ttl_seconds,
+                     const std::string& content_type, int http_status);
 
-  /// After a ring change old→new: forward the remapped slice — own store
-  /// entries whose directory owner moved (re-announce to the new owner) and
-  /// directory partition records this node owned that now belong elsewhere.
-  HandoffStats reannounce_remapped(const HashRing& old_ring,
-                                   const HashRing& new_ring);
+  /// member_joined / member_left once validated: the active set, epoch,
+  /// table and locator bookkeeping of one transition.
+  HandoffStats change_membership(NodeId node, bool joined);
 
-  /// Who to tell about a stale directory record discovered via a false hit.
-  enum class FalseHitSource {
-    kLocalTable,  ///< replicated: erase from our own peer table
-    kRingOwner,   ///< partitioned: also unicast the erase to the ring owner
-    kProbe,       ///< query: no durable record exists anywhere — do nothing
-  };
-
-  /// Fetches `meta` from its caching node and fills `out` on success.
-  /// Handles the false-hit (kNotFound) bookkeeping per `source` and counts
-  /// fallback_executions on transport failure. Returns true on a hit.
-  bool fetch_hit_from(LookupResult* out, const EntryMeta& meta,
-                      const Deadline& deadline, FalseHitSource source);
-
-  /// Mode-aware announcement of a local insert/erase: broadcast in
-  /// replicated mode, unicast to the ring owner in partitioned mode, silent
-  /// in query mode. announce_erase returns whether anything was sent.
+  /// Announces a local insert/erase through the locator, when clustered and
+  /// a member. announce_erase returns whether anything was sent.
   void announce_insert(const EntryMeta& meta);
   bool announce_erase(const std::string& key, std::uint64_t version);
 
@@ -665,6 +611,15 @@ class CacheManager {
   /// advertises an entry the store can no longer serve. Re-validates under
   /// the mutex and leaves a fresh re-insert untouched.
   void retire_dead_entry(const std::string& key);
+
+  /// Drops every entry matching `pattern` from the store and every table,
+  /// optionally announcing the local erases (caller holds commit_mutex_).
+  /// Returns local store removals.
+  std::size_t drop_matching(const std::string& pattern, bool announce);
+
+  /// `table`'s digest over the records `holder` should hold.
+  std::uint64_t digest_of_table(NodeId table, NodeId holder,
+                                std::size_t* entries) const;
 
   /// Shared body of invalidate / on_peer_invalidate: one commit section
   /// dropping matching keys from the store and every directory table, plus
@@ -692,18 +647,12 @@ class CacheManager {
 
   std::unique_ptr<CacheStore> store_;
   std::unique_ptr<CacheDirectory> directory_;
-  /// Key → directory-owner placement (partitioned mode; empty otherwise).
-  /// Guarded by membership_mutex_ since PR10 (the ring resizes at runtime).
-  HashRing ring_;
-  // ---- dynamic membership state (guarded by membership_mutex_) ----
-  /// Shared (not the commit mutex): ring_owner_of sits on the lookup hot
-  /// path; transitions are rare and take the writer side. Lock order:
-  /// commit_mutex_ → membership_mutex_ (announce_* under a commit section
-  /// read the ring); transitions themselves never hold commit_mutex_.
-  mutable std::shared_mutex membership_mutex_;
-  /// Pre-transition ring while a dual-read window is open.
-  std::optional<HashRing> prev_ring_;
-  std::vector<NodeId> members_;  ///< sorted active set (all modes)
+  /// Guards members_. Shared: announce_* check membership inside commit
+  /// sections; transitions are rare and take the writer side.
+  mutable std::shared_mutex members_mutex_;
+  std::vector<NodeId> members_;  ///< sorted active set
+  /// Everything that depends on the directory mode.
+  std::unique_ptr<Locator> locator_;
   std::atomic<std::uint64_t> membership_epoch_{0};
   std::atomic<bool> decommissioning_{false};
   /// Epoch-stamped invalidation replay log (anti-entropy repair). Its own

@@ -318,8 +318,6 @@ http::Response serve_status(const ServeContext& ctx) {
     body += json_u64("cluster_handoff_records_sent", c.handoff_records_sent);
     body += json_u64("cache_remote_dir_lookups", c.remote_dir_lookups);
     body += json_u64("cache_remote_dir_hits", c.remote_dir_hits);
-    body += json_u64("cache_peer_queries", c.peer_queries);
-    body += json_u64("cache_peer_query_hits", c.peer_query_hits);
     // Durability: disk health, checkpoint progress and the startup scrub's
     // findings, so an operator (or the crash-restart CI job) can see whether
     // the node came back clean and whether the disk is still trusted.

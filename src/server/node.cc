@@ -222,8 +222,8 @@ Result<std::unique_ptr<SwalaNode>> SwalaNode::from_config(
     const auto mode = core::directory_mode_from_name(mode_name);
     if (!mode) {
       return Status(StatusCode::kInvalidArgument,
-                    "cluster.directory_mode must be replicated, partitioned "
-                    "or query: " +
+                    "cluster.directory_mode must be replicated or "
+                    "partitioned: " +
                         mode_name);
     }
     mo.directory_mode = *mode;

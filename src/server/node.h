@@ -57,10 +57,10 @@
 //   batch_max_messages = 64          ; directory updates per frame (1 = off)
 //   batch_max_bytes = 262144         ; flush a batch at this encoded size
 //   batch_linger_ms = 2              ; max wait for more updates to coalesce
-//   directory_mode = replicated      ; replicated | partitioned | query
+//   directory_mode = replicated      ; replicated | partitioned
 //   ring_vnodes = 64                 ; partitioned: virtual nodes per member
 //   ring_seed = 1380535879           ; partitioned: placement seed ("RING")
-//   query_timeout_ms = 300           ; per-probe cap (partitioned + query)
+//   query_timeout_ms = 300           ; partitioned: per-probe cap
 //   anti_entropy_interval_ms = 1000  ; digest-round cadence (0 = off)
 //   inv_log_entries = 4096           ; invalidation replay log per origin
 //   ; ---- dynamic membership ----

@@ -69,14 +69,6 @@ struct SimState {
 /// Issues stream `s`'s next request; reschedules itself on completion.
 void issue_next(SimState* st, std::size_t s);
 
-/// Closes every member's dual-read window once a transition's migration
-/// traffic has settled.
-void close_transition_windows(SimState* st) {
-  for (std::size_t i = 0; i < st->managers.size(); ++i) {
-    if (st->member[i]) st->managers[i]->finish_ring_transition();
-  }
-}
-
 /// Join under load: the joiner runs the kJoin protocol (every member
 /// admits it; partitioned mode forwards only the remapped directory slice,
 /// replicated mode seeds the joiner with a full push; then the joiner adopts
@@ -88,7 +80,6 @@ void do_join(SimState* st) {
   st->traffic.in_transition = false;
   st->member[j] = 1;
   st->membership_transitions += 1;
-  st->engine.schedule_in(0.5, [st] { close_transition_windows(st); });
 }
 
 /// Graceful decommission under load: the leaver runs the decommission
@@ -119,7 +110,6 @@ void do_decommission(SimState* st) {
       if (stream.node == d) stream.node = next;
     }
   }
-  st->engine.schedule_in(0.5, [st] { close_transition_windows(st); });
 }
 
 void maybe_churn(SimState* st) {
@@ -210,7 +200,7 @@ void issue_next(SimState* st, std::size_t s) {
   // latency events.
   auto lookup = manager->lookup(http::Method::kGet, uri, Deadline());
 
-  // Directory probes (partitioned owner lookups, query-mode sweeps) run
+  // Directory probes (partitioned owner lookups) run
   // synchronously inside lookup() but their round trips are virtual-time
   // latency: delay this request's CPU work by the accrued amount.
   const double probe_lat =
@@ -419,8 +409,6 @@ SimReport run_cluster_sim(const workload::Trace& trace, const SimConfig& config)
     report.cache.fallback_executions += stats.fallback_executions;
     report.cache.remote_dir_lookups += stats.remote_dir_lookups;
     report.cache.remote_dir_hits += stats.remote_dir_hits;
-    report.cache.peer_queries += stats.peer_queries;
-    report.cache.peer_query_hits += stats.peer_query_hits;
     report.cache.coalesced_misses += stats.coalesced_misses;
   }
   report.dir_update_frames = st.traffic.updates.frames;

@@ -35,9 +35,7 @@ struct SimCosts {
   double insert_cpu = 0.001;           ///< cache insert + broadcast enqueue
   double directory_update_delay = 0.003;  ///< broadcast propagation latency
   double per_request_overhead = 0.002; ///< parse/connection handling
-  /// Round trip for one directory probe (partitioned owner lookup, or the
-  /// query-mode kQuery sweep — the sweep is one multicast round, so it is
-  /// charged once, not per peer).
+  /// Round trip for one directory probe (partitioned owner lookup).
   double query_latency = 0.012;
 
   /// Optional memory model (off when node_memory_bytes == 0). The paper's
@@ -113,11 +111,10 @@ struct SimReport {
 
   // ---- directory traffic (real encoded wire sizes, summed over legs) ----
   /// Insert/erase/invalidate propagation: broadcast legs in replicated
-  /// mode, unicast kOwnerUpdate frames in partitioned mode, zero in query
-  /// mode.
+  /// mode, unicast kOwnerUpdate frames in partitioned mode.
   std::uint64_t dir_update_frames = 0;
   std::uint64_t dir_update_bytes = 0;
-  /// Miss-time probes: kQuery/kQueryHit exchanges (both directions).
+  /// Miss-time owner probes: kQuery/kQueryHit exchanges (both directions).
   std::uint64_t dir_query_frames = 0;
   std::uint64_t dir_query_bytes = 0;
 

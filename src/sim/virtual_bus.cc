@@ -56,30 +56,6 @@ Result<core::EntryMeta> VirtualBus::lookup_at_owner(NodeId ring_owner,
   return answer->meta;
 }
 
-Result<core::EntryMeta> VirtualBus::query_peers(const std::string& key,
-                                                int budget_ms) {
-  (void)budget_ms;
-  // One multicast round: every peer is probed "in parallel", so the request
-  // pays probe_latency once; frames are counted per probed peer (the sweep
-  // stops early on the first hit, as the TCP group does).
-  pending_latency_ += probe_latency_;
-  bool every_peer_answered = true;
-  for (NodeId peer = 0; peer < buses_->size(); ++peer) {
-    if (peer == self_ || !protocol_.member_active(peer)) continue;
-    const auto answer = exchange(peer, Message::query(self_, key),
-                                 &traffic_->queries, &pending_latency_);
-    if (!answer) {
-      every_peer_answered = false;
-      continue;
-    }
-    if (answer->found) return answer->meta;
-  }
-  if (every_peer_answered) {
-    return Status(StatusCode::kNotFound, "no peer caches this key");
-  }
-  return Status(StatusCode::kTimeout, "query budget exhausted without a hit");
-}
-
 Result<core::CachedResult> VirtualBus::fetch_remote(NodeId owner,
                                                     const std::string& key) {
   if (owner >= buses_->size()) {

@@ -45,7 +45,7 @@ struct FrameTally {
 /// kJoin, kJoinAck and kDecommission frames are not charged.
 struct VirtualTraffic {
   FrameTally updates;      ///< insert/erase/invalidate + kOwnerUpdate legs
-  FrameTally queries;      ///< kQuery/kQueryHit exchanges, both directions
+  FrameTally queries;      ///< owner probes (kQuery/kQueryHit), both ways
   FrameTally transitions;  ///< legs sent while in_transition is set
   FrameTally handoffs;     ///< decommission handoff frames
   /// The protocol's own frames: kDigest, kSyncReq, kInvSync(+Resp) and the
@@ -79,8 +79,6 @@ class VirtualBus final : public cluster::ProtocolBus {
   Result<core::EntryMeta> lookup_at_owner(core::NodeId ring_owner,
                                           const std::string& key,
                                           int budget_ms) override;
-  Result<core::EntryMeta> query_peers(const std::string& key,
-                                      int budget_ms) override;
   Result<core::CachedResult> fetch_remote(core::NodeId owner,
                                           const std::string& key) override;
 

@@ -1,9 +1,8 @@
 // Dynamic-membership tests over a real loopback LocalCluster: the staged
 // two-phase join (a node outside the active set runs kJoin against every
 // member and adopts the acked view), graceful decommission (drain + handoff
-// to ring successors, peers deactivate without quarantine), query-sweep
-// probe rotation, and rolling-restart parity across all three directory
-// modes.
+// to ring successors, peers deactivate without quarantine), and rolling-
+// restart parity across both directory modes.
 #include <functional>
 #include <string>
 #include <thread>
@@ -185,35 +184,12 @@ TEST(MembershipTest, GracefulDecommissionHandsOffWithoutLoss) {
   EXPECT_TRUE(report.consistent()) << report.to_string();
 }
 
-TEST(MembershipTest, QuerySweepRotatesAcrossHealthyPeers) {
-  // Only node 2 holds the key, and the sweep stops at the first "found".
-  // A fixed probe order would therefore either always probe node 1 first
-  // (every sweep) or never probe it at all; the rotating start must land
-  // somewhere in between across repeated sweeps.
-  LocalCluster cluster = make_cluster(3, core::DirectoryMode::kQuery);
-  const std::string target = "/cgi-bin/rot/x";
-  insert_at(cluster, 2, target, "copy-2");
-
-  const auto before_1 = cluster.group(1).stats().queries_served;
-  const auto before_2 = cluster.group(2).stats().queries_served;
-  for (int i = 0; i < 6; ++i) {
-    auto found = cluster.group(0).query_peers("GET " + target, 500);
-    ASSERT_TRUE(found.is_ok()) << found.status().to_string();
-  }
-  const auto probed_1 = cluster.group(1).stats().queries_served - before_1;
-  const auto probed_2 = cluster.group(2).stats().queries_served - before_2;
-  EXPECT_EQ(probed_2, 6u) << "the holder answers every sweep";
-  EXPECT_GE(probed_1, 1u) << "fixed order: node 1 shadowed by node 2";
-  EXPECT_LE(probed_1, 5u) << "fixed order: node 1 probed on every sweep";
-}
-
 TEST(MembershipTest, RollingRestartKeepsParityAcrossDirectoryModes) {
   // One node at a time stops and comes back (store intact — the restart is
   // a process bounce, not a disk loss). After the wave, every mode must
   // serve every entry and pass the cluster oracle.
   for (const auto mode :
-       {core::DirectoryMode::kReplicated, core::DirectoryMode::kPartitioned,
-        core::DirectoryMode::kQuery}) {
+       {core::DirectoryMode::kReplicated, core::DirectoryMode::kPartitioned}) {
     SCOPED_TRACE(core::directory_mode_name(mode));
     LocalCluster cluster = make_cluster(3, mode);
     std::vector<std::string> keys;

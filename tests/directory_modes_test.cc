@@ -1,9 +1,9 @@
-// Mode-parity battery for the three directory cooperation schemes
-// (replicated broadcast, consistent-hash partitioned ownership, ICP-style
-// query-on-miss). With zero propagation delay, zero probe latency and no
-// faults the schemes are semantically equivalent — every lookup sees the
-// same global knowledge — so a deterministic trace must converge to
-// identical cache contents and identical hit/miss decisions in all three.
+// Mode-parity battery for the two directory cooperation schemes
+// (replicated broadcast, consistent-hash partitioned ownership). With zero
+// propagation delay, zero probe latency and no faults the schemes are
+// semantically equivalent — every lookup sees the same global knowledge —
+// so a deterministic trace must converge to identical cache contents and
+// identical hit/miss decisions in both.
 // Any drift here means a mode is silently answering differently.
 #include <gtest/gtest.h>
 
@@ -27,7 +27,7 @@ SimConfig parity_config(core::DirectoryMode mode) {
   config.client_streams = 8;
   config.directory_mode = mode;
   // Collapse the weak-consistency windows: broadcasts land instantly and
-  // probes are free, so all three modes see identical virtual timelines and
+  // probes are free, so both modes see identical virtual timelines and
   // the comparison is exact, not statistical.
   config.costs.directory_update_delay = 0.0;
   config.costs.query_latency = 0.0;
@@ -36,7 +36,7 @@ SimConfig parity_config(core::DirectoryMode mode) {
 
 // A trace with no overlapping requests: arrivals are spaced wider than any
 // request can take, so the cluster handles exactly one request at a time.
-// This is the regime where the three modes are semantically equivalent —
+// This is the regime where the two modes are semantically equivalent —
 // concurrent same-key execution is precisely where they legitimately differ
 // (replicated propagation is asynchronous even at zero delay; probes read
 // the peer's current state synchronously).
@@ -64,41 +64,34 @@ TEST(DirectoryModeParityTest, IdenticalCacheContentsAndDecisions) {
       run_cluster_sim(trace, sequential(core::DirectoryMode::kReplicated));
   const auto partitioned =
       run_cluster_sim(trace, sequential(core::DirectoryMode::kPartitioned));
-  const auto query =
-      run_cluster_sim(trace, sequential(core::DirectoryMode::kQuery));
 
   // The modes exercised what they should: remote hits happened, and the
-  // non-replicated modes actually took their probe paths.
+  // partitioned mode actually took its probe path.
   ASSERT_GT(replicated.cache.remote_hits, 0u);
   EXPECT_GT(partitioned.cache.remote_dir_lookups, 0u);
   EXPECT_GT(partitioned.cache.remote_dir_hits, 0u);
-  EXPECT_GT(query.cache.peer_queries, 0u);
-  EXPECT_GT(query.cache.peer_query_hits, 0u);
   EXPECT_EQ(replicated.cache.remote_dir_lookups, 0u);
-  EXPECT_EQ(replicated.cache.peer_queries, 0u);
 
   // Identical hit/miss decisions...
-  for (const auto* r : {&partitioned, &query}) {
-    EXPECT_EQ(r->requests_completed, replicated.requests_completed);
-    EXPECT_EQ(r->cache.lookups, replicated.cache.lookups);
-    EXPECT_EQ(r->cache.local_hits, replicated.cache.local_hits);
-    EXPECT_EQ(r->cache.remote_hits, replicated.cache.remote_hits);
-    EXPECT_EQ(r->cache.misses, replicated.cache.misses);
-    EXPECT_EQ(r->cache.inserts, replicated.cache.inserts);
-    EXPECT_EQ(r->cache.false_hits, replicated.cache.false_hits);
-    EXPECT_EQ(r->cache.false_misses, replicated.cache.false_misses);
-    // ...identical timelines (probes were free, so response times match)...
-    EXPECT_DOUBLE_EQ(r->sim_seconds, replicated.sim_seconds);
-    // ...and byte-identical final cache contents on every node.
-    EXPECT_EQ(r->node_keys, replicated.node_keys);
-  }
+  const auto& p = partitioned;
+  EXPECT_EQ(p.requests_completed, replicated.requests_completed);
+  EXPECT_EQ(p.cache.lookups, replicated.cache.lookups);
+  EXPECT_EQ(p.cache.local_hits, replicated.cache.local_hits);
+  EXPECT_EQ(p.cache.remote_hits, replicated.cache.remote_hits);
+  EXPECT_EQ(p.cache.misses, replicated.cache.misses);
+  EXPECT_EQ(p.cache.inserts, replicated.cache.inserts);
+  EXPECT_EQ(p.cache.false_hits, replicated.cache.false_hits);
+  EXPECT_EQ(p.cache.false_misses, replicated.cache.false_misses);
+  // ...identical timelines (probes were free, so response times match)...
+  EXPECT_DOUBLE_EQ(p.sim_seconds, replicated.sim_seconds);
+  // ...and byte-identical final cache contents on every node.
+  EXPECT_EQ(p.node_keys, replicated.node_keys);
 }
 
 TEST(DirectoryModeParityTest, EachModeIsDeterministic) {
   const auto trace = parity_trace();
   for (auto mode :
-       {core::DirectoryMode::kReplicated, core::DirectoryMode::kPartitioned,
-        core::DirectoryMode::kQuery}) {
+       {core::DirectoryMode::kReplicated, core::DirectoryMode::kPartitioned}) {
     const auto a = run_cluster_sim(trace, parity_config(mode));
     const auto b = run_cluster_sim(trace, parity_config(mode));
     EXPECT_EQ(a.node_keys, b.node_keys);
@@ -110,17 +103,14 @@ TEST(DirectoryModeParityTest, EachModeIsDeterministic) {
   }
 }
 
-// The asymptote the tentpole exists for: replicated pays O(n) update frames
-// per insert, partitioned O(1), query zero (its traffic moves to miss-time
-// probes instead).
+// The asymptote partitioned mode exists for: replicated pays O(n) update
+// frames per insert, partitioned O(1).
 TEST(DirectoryModeParityTest, UpdateTrafficAsymptote) {
   const auto trace = parity_trace();
   const auto replicated =
       run_cluster_sim(trace, parity_config(core::DirectoryMode::kReplicated));
   const auto partitioned =
       run_cluster_sim(trace, parity_config(core::DirectoryMode::kPartitioned));
-  const auto query =
-      run_cluster_sim(trace, parity_config(core::DirectoryMode::kQuery));
 
   ASSERT_GT(replicated.cache.inserts, 0u);
   const double repl_fpi = static_cast<double>(replicated.dir_update_frames) /
@@ -132,24 +122,20 @@ TEST(DirectoryModeParityTest, UpdateTrafficAsymptote) {
   // owned remotely) plus the occasional eviction erase.
   EXPECT_GE(repl_fpi, 3.0);
   EXPECT_LE(part_fpi, 1.5);
-  EXPECT_EQ(query.dir_update_frames, 0u);
-  EXPECT_EQ(query.dir_update_bytes, 0u);
-  EXPECT_GT(query.dir_query_frames, 0u);
-  // Replicated and partitioned never send miss-time probes in the sim
-  // (partitioned probes are owner lookups, counted as query frames).
+  // Replicated mode never probes at miss time; partitioned owner lookups
+  // are counted as query frames.
   EXPECT_EQ(replicated.dir_query_frames, 0u);
   EXPECT_GT(partitioned.dir_query_frames, 0u);
 }
 
-// Membership churn under load, all three modes: the highest node joins at
+// Membership churn under load, both modes: the highest node joins at
 // 30% of the trace, node 0 decommissions gracefully at 60%. Every mode must
 // end oracle-consistent with zero committed-entry loss, and the whole
 // episode must stay deterministic.
 TEST(DirectoryModeParityTest, ChurnUnderLoadStaysConsistentWithZeroLoss) {
   const auto trace = workload::synthesize_request_mix(600, 200, 1.0, 77);
   for (auto mode :
-       {core::DirectoryMode::kReplicated, core::DirectoryMode::kPartitioned,
-        core::DirectoryMode::kQuery}) {
+       {core::DirectoryMode::kReplicated, core::DirectoryMode::kPartitioned}) {
     SCOPED_TRACE(core::directory_mode_name(mode));
     SimConfig config = parity_config(mode);
     config.join_node = 3;

@@ -206,6 +206,25 @@ TEST(HashRingTest, TransitiveChurnRemapsOnlyThroughChurnedNodes) {
       << "churn episode reshuffled bystander keys";
 }
 
+// successor_of answers "who owns this key once that member leaves" exactly
+// as a ring rebuilt without the member would, for every key and leaver.
+TEST(HashRingTest, SuccessorOfMatchesTheRingWithoutTheLeaver) {
+  const auto keys = make_keys(5000);
+  const auto ring = make_ring(8);
+  for (std::uint32_t leaving = 0; leaving < 9; ++leaving) {
+    auto without = make_ring(8);
+    without.remove_node(leaving);
+    for (const auto& key : keys) {
+      ASSERT_EQ(ring.successor_of(key, leaving), without.owner_of(key))
+          << key << " leaving " << leaving;
+    }
+  }
+  HashRing single;
+  single.add_node(3);
+  EXPECT_EQ(single.successor_of("/cgi-bin/a", 3), HashRing::kNoOwner);
+  EXPECT_EQ(HashRing().successor_of("/cgi-bin/a", 3), HashRing::kNoOwner);
+}
+
 // vnodes = 0 is clamped to 1 point per member rather than an empty ring.
 TEST(HashRingTest, ZeroVnodesClampsToOne) {
   HashRing ring(HashRing::kDefaultSeed, 0);

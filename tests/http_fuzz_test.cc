@@ -13,6 +13,7 @@
 #include "cluster/framing.h"
 #include "cluster/local_cluster.h"
 #include "common/hash.h"
+#include "core/locator.h"
 #include "common/random.h"
 #include "http/parser.h"
 
@@ -463,7 +464,7 @@ TEST(ClusterFrameFuzzTest, HostileOwnerUpdateFramesOverSocketAreHarmless) {
   std::string misrouted;
   for (int i = 0;; ++i) {
     misrouted = "GET /cgi-bin/mis" + std::to_string(i);
-    if (cluster.manager(0).ring_owner_of(misrouted) != 0) break;
+    if (cluster.manager(0).locator().record_holder(misrouted) != 0u) break;
   }
   core::EntryMeta meta;
   meta.key = misrouted;

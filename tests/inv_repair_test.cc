@@ -285,7 +285,7 @@ TEST(ManagerEpochTest, LocalInvalidateStampsMonotonicEpochs) {
   ASSERT_EQ(bus.invalidations.size(), 2u);
   EXPECT_EQ(bus.invalidations[0].second, 1u);
   EXPECT_EQ(bus.invalidations[1].second, 2u);
-  EXPECT_EQ(vec_get(manager.inv_high_vector(), 0), 2u);
+  EXPECT_EQ(vec_get(manager.inv_log().high_vector(), 0), 2u);
 }
 
 TEST(ManagerEpochTest, ReplayedPeerInvalidateIsIdempotent) {
@@ -313,16 +313,17 @@ TEST(ManagerEpochTest, GapPullAppliesMissedInvalidationsOnce) {
   cache_target(lagger, "/cgi-bin/a");  // lagger's own copy of the key
   origin.invalidate("GET /cgi-bin/a*");  // broadcast lost: lagger never hears
 
-  ASSERT_TRUE(lagger.inv_behind(origin.inv_high_vector()));
+  ASSERT_TRUE(lagger.inv_log().behind(origin.inv_log().high_vector()));
   bool truncated = false;
   const auto entries =
-      origin.inv_entries_after(lagger.inv_floor_vector(), &truncated);
+      origin.inv_log().entries_after(lagger.inv_log().floor_vector(),
+                                     &truncated);
   ASSERT_EQ(entries.size(), 1u);
   EXPECT_FALSE(truncated);
 
   EXPECT_EQ(lagger.apply_inv_sync(entries, truncated), 1u);
   EXPECT_FALSE(lagger.store().contains("GET /cgi-bin/a"));
-  EXPECT_FALSE(lagger.inv_behind(origin.inv_high_vector()));
+  EXPECT_FALSE(lagger.inv_log().behind(origin.inv_log().high_vector()));
   const auto stats = lagger.stats();
   EXPECT_EQ(stats.inv_epoch_gaps_repaired, 1u);
   EXPECT_EQ(stats.stale_serves_prevented, 1u);

@@ -284,8 +284,7 @@ TEST(AdminClusterTest, StatusKeysArePinned) {
       "inv_epoch_gaps_repaired", "stale_serves_prevented",
       "inv_overflow_purges", "directory_mode", "membership_epoch",
       "membership_transitions", "cluster_handoff_records_sent",
-      "cache_remote_dir_lookups", "cache_remote_dir_hits",
-      "cache_peer_queries", "cache_peer_query_hits", "durability",
+      "cache_remote_dir_lookups", "cache_remote_dir_hits", "durability",
       "disk_errors", "store_degraded", "degraded_skips", "checkpoints",
       "checkpoint_failures", "scrub_adopted", "scrub_quarantined",
       "scrub_orphans_removed", "scrub_temps_removed", "store_backend",

@@ -551,6 +551,22 @@ TEST(SwalaNodeTest, UnknownKeyRejectedByName) {
   }
 }
 
+// Query mode was deleted: a config that still asks for it must fail at
+// startup, naming the value and the two modes that remain.
+TEST(SwalaNodeTest, QueryDirectoryModeRejectedWithTheValidModes) {
+  auto cfg = Config::parse("[server]\nport = 0\n[cluster]\n"
+                           "directory_mode = query\n");
+  ASSERT_TRUE(cfg.is_ok());
+  auto node = SwalaNode::from_config(cfg.value(), make_registry());
+  ASSERT_FALSE(node.is_ok());
+  EXPECT_EQ(node.status().code(), StatusCode::kInvalidArgument);
+  const std::string& message = node.status().message();
+  for (const char* word : {"replicated", "partitioned", "query"}) {
+    EXPECT_NE(message.find(word), std::string::npos)
+        << word << " missing from: " << message;
+  }
+}
+
 TEST(SwalaNodeTest, ExampleConfigLoads) {
   auto cfg = Config::load(SWALA_EXAMPLE_CONF);
   ASSERT_TRUE(cfg.is_ok()) << cfg.status().to_string();
