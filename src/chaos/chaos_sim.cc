@@ -89,7 +89,7 @@ class SimHarness final : public detail::Harness {
   // arriving at it; the store survives.
   void crash(std::size_t) override {}
   Status restart(std::size_t node) override {
-    buses_[node]->protocol().reset();  // as NodeGroup::start does
+    buses_[node]->restart();
     return Status::ok();
   }
   Status join(std::size_t node) override {

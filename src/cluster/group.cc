@@ -21,8 +21,7 @@ NodeGroup::NodeGroup(core::NodeId self, std::vector<MemberAddress> members,
       self_(self),
       members_(std::move(members)),
       options_(options),
-      transport_(options.fault_injector),
-      backoff_rng_(options.backoff_seed) {}
+      transport_(options.fault_injector) {}
 
 NodeGroup::~NodeGroup() { stop(); }
 
@@ -54,21 +53,22 @@ Status NodeGroup::start() {
 
   // A restart starts every breaker closed and the timers from now.
   protocol_.reset();
-  // One outbound queue + sender thread per peer: the broadcast is
-  // asynchronous and never blocks a request thread on a slow peer.
+  // One sender thread per peer: the broadcast is asynchronous and never
+  // blocks a request thread on a slow peer.
   for (const auto& m : members_) {
     if (m.id == self_) continue;
     auto link = std::make_unique<PeerLink>();
-    link->address = m;
-    link->outbound =
-        std::make_unique<BoundedQueue<Message>>(options_.outbound_queue_capacity);
+    link->id = m.id;
+    link->info_addr = m.info_addr;
     PeerLink* raw = link.get();
     link->sender = std::thread([this, raw] { sender_loop(raw); });
     peers_.push_back(std::move(link));
   }
 
-  info_accept_thread_ = std::thread([this] { info_accept_loop(); });
-  data_accept_thread_ = std::thread([this] { data_accept_loop(); });
+  info_accept_thread_ = std::thread(
+      [this] { accept_loop(&info_listener_, &NodeGroup::info_read_loop); });
+  data_accept_thread_ = std::thread(
+      [this] { accept_loop(&data_listener_, &NodeGroup::serve_data_request); });
   purge_thread_ = std::thread([this] { purge_loop(); });
   return Status::ok();
 }
@@ -77,7 +77,7 @@ void NodeGroup::set_members(std::vector<MemberAddress> members) {
   members_ = std::move(members);
   for (auto& peer : peers_) {
     for (const auto& m : members_) {
-      if (m.id == peer->address.id) peer->address = m;
+      if (m.id == peer->id) peer->info_addr = m.info_addr;
     }
   }
 }
@@ -86,7 +86,7 @@ void NodeGroup::stop() {
   if (!running_.exchange(false)) return;
   info_listener_.close();
   data_listener_.close();
-  for (auto& peer : peers_) peer->outbound->close();
+  for (auto& peer : peers_) ring(peer.get());
   for (auto& peer : peers_) {
     if (peer->sender.joinable()) peer->sender.join();
   }
@@ -94,26 +94,22 @@ void NodeGroup::stop() {
   if (data_accept_thread_.joinable()) data_accept_thread_.join();
   if (purge_thread_.joinable()) purge_thread_.join();
   {
-    std::lock_guard<std::mutex> lock(reader_mutex_);
-    for (auto& t : reader_threads_) {
-      if (t.joinable()) t.join();
-    }
-    for (auto& t : data_threads_) {
-      if (t.joinable()) t.join();
-    }
-    reader_threads_.clear();
-    data_threads_.clear();
+    std::lock_guard<std::mutex> lock(conn_mutex_);
+    for (auto& t : conn_threads_) t.thread.join();
+    conn_threads_.clear();
   }
   {
     std::lock_guard<std::mutex> lock(pool_mutex_);
     fetch_pool_.clear();
   }
   peers_.clear();
+  // What the senders' last pass could not deliver goes with them.
+  protocol_.reset();
 }
 
 NodeGroup::PeerLink* NodeGroup::find_link(core::NodeId id) const {
   for (const auto& peer : peers_) {
-    if (peer->address.id == id) return peer.get();
+    if (peer->id == id) return peer.get();
   }
   return nullptr;
 }
@@ -135,38 +131,47 @@ void NodeGroup::emit(Outbox out) {
       continue;
     }
     PeerLink* link = find_link(frame.to);
-    if (link == nullptr) continue;  // not started: nothing to send on
-    if (!link->outbound->try_push(std::move(frame.msg))) {
-      ++stats_.send_failures;
-    }
+    if (link != nullptr && protocol_.enqueue(std::move(frame))) ring(link);
   }
 }
 
-int NodeGroup::backoff_delay_ms(int attempt) {
-  std::int64_t base = options_.backoff_base_ms;
-  for (int i = 1; i < attempt && base < options_.backoff_max_ms; ++i) base *= 2;
-  if (base > options_.backoff_max_ms) base = options_.backoff_max_ms;
-  if (base < 1) base = 1;
-  // Jitter in [base/2, base] de-synchronizes the per-peer sender threads.
-  std::lock_guard<std::mutex> lock(backoff_mutex_);
-  return static_cast<int>(backoff_rng_.uniform_int(base / 2, base));
+void NodeGroup::ring(PeerLink* link) {
+  {
+    std::lock_guard<std::mutex> lock(link->mutex);
+    ++link->rings;
+  }
+  link->doorbell.notify_one();
 }
 
-// ---- info channel ----
+// ---- connections in ----
 
-void NodeGroup::info_accept_loop() {
+void NodeGroup::accept_loop(net::TcpListener* listener,
+                            void (NodeGroup::*serve)(net::TcpStream)) {
   while (running_.load(std::memory_order_relaxed)) {
-    auto conn = info_listener_.accept(/*timeout_ms=*/200);
+    auto conn = listener->accept(/*timeout_ms=*/200);
     if (!conn) {
       if (conn.status().code() == StatusCode::kTimeout) continue;
       break;  // listener closed
     }
     (void)conn.value().set_no_delay(true);
+    // Short read slices so the serving thread notices shutdown promptly;
+    // its loop tolerates timeouts between frames.
     (void)conn.value().set_recv_timeout(200);
-    std::lock_guard<std::mutex> lock(reader_mutex_);
-    reader_threads_.emplace_back(
-        [this, stream = std::move(conn.value())]() mutable {
-          info_read_loop(std::move(stream));
+    (void)conn.value().set_send_timeout(options_.fetch_timeout_ms);
+    // The paper starts a thread per data request; here a thread serves one
+    // connection (an info stream, or a requester's pooled fetches) and
+    // lives as long as it. Threads that have returned are reaped.
+    std::lock_guard<std::mutex> lock(conn_mutex_);
+    conn_threads_.remove_if([](ConnThread& t) {
+      if (!t.done.load(std::memory_order_acquire)) return false;
+      t.thread.join();
+      return true;
+    });
+    ConnThread& slot = conn_threads_.emplace_back();
+    slot.thread = std::thread(
+        [this, serve, &slot, stream = std::move(conn.value())]() mutable {
+          (this->*serve)(std::move(stream));
+          slot.done.store(true, std::memory_order_release);
         });
   }
 }
@@ -179,37 +184,6 @@ void NodeGroup::info_read_loop(net::TcpStream stream) {
       return;  // closed or corrupt; drop the connection
     }
     emit(protocol_.on_info(msg.value()));
-  }
-}
-
-// ---- data channel ----
-
-void NodeGroup::data_accept_loop() {
-  while (running_.load(std::memory_order_relaxed)) {
-    auto conn = data_listener_.accept(/*timeout_ms=*/200);
-    if (!conn) {
-      if (conn.status().code() == StatusCode::kTimeout) continue;
-      break;
-    }
-    (void)conn.value().set_no_delay(true);
-    // Short read slices so the serving thread notices shutdown promptly;
-    // the loop in serve_data_request tolerates timeouts between requests.
-    (void)conn.value().set_recv_timeout(250);
-    (void)conn.value().set_send_timeout(options_.fetch_timeout_ms);
-    // The paper starts a separate thread per data request; with pooled
-    // requester connections each thread serves a stream of fetches.
-    std::lock_guard<std::mutex> lock(reader_mutex_);
-    // Opportunistically reap finished data threads to bound the vector.
-    if (data_threads_.size() > 256) {
-      for (auto& t : data_threads_) {
-        if (t.joinable()) t.join();
-      }
-      data_threads_.clear();
-    }
-    data_threads_.emplace_back(
-        [this, stream = std::move(conn.value())]() mutable {
-          serve_data_request(std::move(stream));
-        });
   }
 }
 
@@ -251,136 +225,52 @@ void NodeGroup::purge_loop() {
 
 // ---- outbound ----
 
-namespace {
-
-/// Info-channel updates safe to coalesce. HELLO carries probe/greeting
-/// semantics and SYNC_REQ triggers a state push, so both keep their own
-/// frames.
-bool batchable(const Message& msg) {
-  return msg.type == MsgType::kInsert || msg.type == MsgType::kErase ||
-         msg.type == MsgType::kInvalidate || msg.type == MsgType::kOwnerUpdate;
-}
-
-/// Cheap upper-bound estimate of a message's encoded size; close enough to
-/// enforce batch_max_bytes without encoding twice.
-std::size_t approx_encoded_size(const Message& msg) {
-  return 64 + msg.key.size() + msg.data.size() + msg.meta.key.size() +
-         msg.meta.content_type.size();
-}
-
-}  // namespace
-
-void NodeGroup::collect_batch(PeerLink* link, std::vector<Message>* run,
-                              std::optional<Message>* carry) {
-  std::size_t bytes = approx_encoded_size(run->front());
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(options_.batch_linger_ms);
-  while (run->size() < options_.batch_max_messages &&
-         bytes < options_.batch_max_bytes) {
-    std::optional<Message> next = link->outbound->try_pop();
-    if (!next) {
-      const auto now = std::chrono::steady_clock::now();
-      if (now >= deadline || !running_.load(std::memory_order_relaxed)) break;
-      next = link->outbound->pop_for(deadline - now);
-      if (!next) break;  // lingered in vain (or queue closed)
-    }
-    if (!batchable(*next)) {
-      *carry = std::move(next);  // sent on its own, right after this batch
-      break;
-    }
-    bytes += approx_encoded_size(*next);
-    run->push_back(std::move(*next));
-  }
-}
-
 void NodeGroup::sender_loop(PeerLink* link) {
+  const core::NodeId id = link->id;
+  const Clock* clock = RealClock::instance();
   net::TcpStream stream;
-  bool greeted = false;
-  // A non-batchable message pulled while collecting a batch waits here and
-  // is consumed before the queue is polled again, so nothing is reordered
-  // past it and nothing is lost on shutdown.
-  std::optional<Message> carry;
   for (;;) {
-    std::optional<Message> msg;
-    if (carry.has_value()) {
-      msg = std::move(carry);
-      carry.reset();
-    } else {
-      msg = link->outbound->pop();
-      if (!msg) break;  // queue closed and drained
+    // Rings are read before the protocol is asked, so an enqueue (or the
+    // stop) that lands after the question keeps the wait below from
+    // sleeping through it.
+    std::uint64_t rings = 0;
+    {
+      std::lock_guard<std::mutex> lock(link->mutex);
+      rings = link->rings;
     }
-    // An inactive slot, or an open breaker for anything but a probe, drops
-    // the frame (the rejoin resync repairs whatever the peer missed).
-    const auto admitted = protocol_.admit(link->address.id, msg->type);
-    if (!admitted) continue;
-    const PeerState state = *admitted;
-    const bool is_probe = msg->type == MsgType::kHello;
-
-    // Coalesce a run of queued directory updates into one kBatch frame.
-    // The batch is the retry unit below; a run of one goes out in its
-    // plain unbatched form, byte-identical to older builds.
-    std::vector<Message> run;
-    run.push_back(std::move(*msg));
-    if (options_.batch_max_messages > 1 && batchable(run.front())) {
-      collect_batch(link, &run, &carry);
-    }
-    const std::size_t run_size = run.size();
-    Message out = run_size == 1 ? std::move(run.front())
-                                : Message::make_batch(self_, std::move(run));
-
-    // Probes get a single attempt (the purger reschedules them); regular
-    // traffic retries with exponential backoff + jitter.
-    const int max_attempts =
-        state == PeerState::kDead ? 1 : std::max(1, options_.broadcast_retry_limit);
-    bool sent = false;
-    for (int attempt = 0; attempt < max_attempts; ++attempt) {
-      if (attempt > 0) {
-        if (!running_.load(std::memory_order_relaxed)) break;
-        ++stats_.send_retries;
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(backoff_delay_ms(attempt)));
+    const bool stopping = !running_.load(std::memory_order_acquire);
+    const NextFrame next = protocol_.next_frame(id, clock->now());
+    if (!next.frame) {
+      if (stopping && next.wake_at == NextFrame::kIdle) return;  // flushed
+      std::unique_lock<std::mutex> lock(link->mutex);
+      const auto rung = [&] { return link->rings != rings; };
+      if (next.wake_at == NextFrame::kIdle) {
+        link->doorbell.wait(lock, rung);
+      } else {
+        link->doorbell.wait_for(
+            lock, std::chrono::nanoseconds(next.wake_at - clock->now()), rung);
       }
-      if (!stream.valid()) {
-        auto conn = net::TcpStream::connect(link->address.info_addr,
-                                            options_.connect_timeout_ms);
-        if (!conn) continue;
+      continue;
+    }
+    bool ok = false;
+    if (!stream.valid()) {
+      auto conn = net::TcpStream::connect(link->info_addr,
+                                          options_.connect_timeout_ms);
+      if (conn) {
         stream = std::move(conn.value());
         (void)stream.set_no_delay(true);
         (void)stream.set_send_timeout(options_.connect_timeout_ms);
-        greeted = false;
+        protocol_.on_connected(id);
+        continue;  // the greeting goes first
       }
-      if (!greeted) {
-        if (!transport_.send(stream, link->address.id, protocol_.make_hello())
-                 .is_ok()) {
-          stream.close();
-          continue;
-        }
-        ++stats_.frames_sent;
-        greeted = true;
-        if (is_probe) {
-          sent = true;  // the greeting itself proved the peer reachable
-          break;
-        }
-      }
-      if (transport_.send(stream, link->address.id, out).is_ok()) {
-        ++stats_.frames_sent;
-        sent = true;
-        break;
-      }
-      stream.close();
-    }
-    if (sent) {
-      if (run_size > 1) {
-        stats_.batched_broadcasts += run_size;
-      }
-      emit(protocol_.on_send_result(link->address.id, true));
     } else {
-      stream.close();
-      ++stats_.send_failures;
-      if (running_.load(std::memory_order_relaxed)) {
-        emit(protocol_.on_send_result(link->address.id, false));
-      }
+      ok = transport_.send(stream, id, *next.frame).is_ok();
+      if (!ok) stream.close();
     }
+    // Stopping, an unreachable peer gets nothing more.
+    if (stopping && !ok) return;
+    Outbox out = protocol_.on_send_result(id, ok, SendLeg::kFrame);
+    if (!stopping) emit(std::move(out));
   }
 }
 
@@ -514,24 +404,6 @@ Result<Message> NodeGroup::data_exchange(core::NodeId peer_id,
     return std::move(resp.value());
   }
   return fail(last_error);
-}
-
-// ---- dynamic membership ----
-
-std::size_t NodeGroup::outbound_backlog() const {
-  std::size_t backlog = 0;
-  for (const auto& peer : peers_) backlog += peer->outbound->size();
-  return backlog;
-}
-
-std::vector<PeerHealth> NodeGroup::peer_health() const {
-  auto health = protocol_.peer_health();
-  for (auto& h : health) {
-    if (PeerLink* link = find_link(h.id)) {
-      h.outbound_backlog = link->outbound->size();
-    }
-  }
-  return health;
 }
 
 }  // namespace swala::cluster

@@ -3,16 +3,17 @@
 // three daemon threads per node (§4.1): the info receiver hands each decoded
 // frame to the protocol, the data server answers fetches and probes on a
 // thread per connection, and the purger deletes expired entries every
-// `purge_interval` while its 50 ms tick drives the protocol's timers. Per-
-// peer sender threads drain outbound queues, so the broadcast is
-// asynchronous (no global locks; §4.2). The shell owns sockets, fetch pool,
-// batching and retry with backoff; every frame leaves through emit(), which
-// counts one it cannot queue as a send failure, and every send goes through
-// a Transport whose optional FaultInjector drops, delays, truncates or
-// black-holes traffic for the failure tests.
+// `purge_interval` while its 50 ms tick drives the protocol's timers. One
+// sender thread per peer writes what the protocol's send policy hands it
+// (Protocol::next_frame), so the broadcast is asynchronous (no global
+// locks; §4.2). The shell owns only sockets, threads and the fetch pool;
+// every send goes through a Transport whose optional FaultInjector drops,
+// delays, truncates or black-holes traffic for the failure tests.
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
+#include <list>
 #include <memory>
 #include <thread>
 #include <unordered_map>
@@ -21,8 +22,6 @@
 #include "cluster/framing.h"
 #include "cluster/protocol.h"
 #include "cluster/transport.h"
-#include "common/queue.h"
-#include "common/random.h"
 #include "core/manager.h"
 #include "net/socket.h"
 
@@ -76,7 +75,9 @@ class NodeGroup final : public ProtocolBus {
   GroupStats stats() const { return protocol_.stats(); }
 
   /// Health snapshot of every peer (excludes self).
-  std::vector<PeerHealth> peer_health() const;
+  std::vector<PeerHealth> peer_health() const {
+    return protocol_.peer_health();
+  }
 
   /// Breaker state of one peer (kHealthy for self/unknown ids).
   PeerState peer_state(core::NodeId id) const {
@@ -89,31 +90,48 @@ class NodeGroup final : public ProtocolBus {
 
   core::NodeId self() const { return self_; }
 
-  /// Messages enqueued to peers but not yet handed to their sender sockets.
-  /// Tests poll this to quiesce deterministically before invariant checks.
-  std::size_t outbound_backlog() const;
+  /// Messages queued to peers and not yet delivered. Tests poll this to
+  /// quiesce deterministically before invariant checks.
+  std::size_t outbound_backlog() const {
+    std::size_t backlog = 0;
+    for (const auto& h : peer_health()) backlog += h.outbound_backlog;
+    return backlog;
+  }
 
  private:
   struct PeerLink {
-    MemberAddress address;
-    std::unique_ptr<BoundedQueue<Message>> outbound;
+    core::NodeId id = core::kInvalidNode;
+    net::InetAddress info_addr;  ///< rewritten only by set_members()
     std::thread sender;
+    /// Rung after every enqueue for this peer, and by stop(). The count
+    /// tells the sender whether a ring landed since it last asked the
+    /// protocol, so none is lost.
+    std::mutex mutex;
+    std::condition_variable doorbell;
+    std::uint64_t rings = 0;  // guarded by mutex
   };
 
-  /// The one exit of every frame: info frames go onto the peer's outbound
-  /// queue (a full queue counts as a send failure); data requests run as
-  /// an exchange whose answer goes back to the protocol.
-  void emit(Outbox out) override;
+  /// The thread serving one accepted connection; `done` is set as it
+  /// returns, so the accept loop can reap it without blocking.
+  struct ConnThread {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
 
-  void info_accept_loop();
+  /// The one exit of every frame: info frames go onto the protocol's queue
+  /// and ring the peer's sender; data requests run as an exchange whose
+  /// answer goes back to the protocol.
+  void emit(Outbox out) override;
+  void ring(PeerLink* link);
+
+  /// Serves each connection `listener` accepts on a thread of its own.
+  void accept_loop(net::TcpListener* listener,
+                   void (NodeGroup::*serve)(net::TcpStream));
   void info_read_loop(net::TcpStream stream);
-  /// Pulls additional batchable messages from `link`'s queue into `run`
-  /// until size/byte/linger limits; a non-batchable pull lands in `carry`.
-  void collect_batch(PeerLink* link, std::vector<Message>* run,
-                     std::optional<Message>* carry);
-  void data_accept_loop();
   void serve_data_request(net::TcpStream stream);
   void purge_loop();
+  /// Until stop(): wait on the doorbell for a frame, connect, greet, write,
+  /// report. Then what is still queued is written once, without waiting.
   void sender_loop(PeerLink* link);
 
   /// One request/response round on the data channel: pooled connection,
@@ -126,7 +144,6 @@ class NodeGroup final : public ProtocolBus {
                                 int connect_timeout_ms);
 
   PeerLink* find_link(core::NodeId id) const;
-  int backoff_delay_ms(int attempt);
 
   core::NodeId self_;
   std::vector<MemberAddress> members_;
@@ -143,16 +160,12 @@ class NodeGroup final : public ProtocolBus {
   std::thread purge_thread_;
   std::vector<std::unique_ptr<PeerLink>> peers_;  // excludes self
 
-  std::mutex reader_mutex_;
-  std::vector<std::thread> reader_threads_;
-  std::vector<std::thread> data_threads_;
+  std::mutex conn_mutex_;
+  std::list<ConnThread> conn_threads_;  // guarded by conn_mutex_
 
   // Pooled idle data connections, keyed by peer node id.
   std::mutex pool_mutex_;
   std::unordered_map<core::NodeId, std::vector<net::TcpStream>> fetch_pool_;
-
-  std::mutex backoff_mutex_;
-  Rng backoff_rng_;  // guarded by backoff_mutex_
 };
 
 /// Builds loopback member addresses with ephemeral ports for `n` in-process

@@ -1,6 +1,7 @@
 #include "cluster/protocol.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.h"
 #include "core/locator.h"
@@ -23,7 +24,10 @@ bool is_data_request(MsgType type) {
 
 Protocol::Protocol(core::NodeId self, std::size_t nodes,
                    const GroupOptions& options, const Clock* clock)
-    : self_(self), options_(options), clock_(clock) {
+    : self_(self),
+      options_(options),
+      clock_(clock),
+      backoff_rng_(options.backoff_seed) {
   const auto& initial = options_.initial_active;
   for (core::NodeId id = 0; id < nodes; ++id) {
     if (id == self_) continue;
@@ -47,7 +51,14 @@ void Protocol::close_breaker(Peer* peer) {
 }
 
 void Protocol::reset() {
-  for (auto& peer : peers_) close_breaker(peer.get());
+  for (auto& peer : peers_) {
+    close_breaker(peer.get());
+    std::lock_guard<std::mutex> lock(peer->send_mutex);
+    peer->queue.clear();
+    peer->linger_until.reset();
+    peer->pending.reset();
+    peer->greet = false;
+  }
   std::lock_guard<std::mutex> lock(timer_mutex_);
   next_anti_entropy_ =
       clock_->now() + from_millis(options_.anti_entropy_interval_ms);
@@ -126,11 +137,19 @@ void Protocol::record_success(Peer* peer, Outbox* out) {
   push_state_to(peer->id, out);
 }
 
-Outbox Protocol::on_send_result(core::NodeId peer, bool ok) {
+Outbox Protocol::on_send_result(core::NodeId peer, bool ok, SendLeg leg) {
   Outbox out;
   Peer* p = find(peer);
-  if (p != nullptr && ok) record_success(p, &out);
-  if (p != nullptr && !ok) record_failure(p);
+  if (p == nullptr) return out;
+  if (leg == SendLeg::kFrame) {
+    std::lock_guard<std::mutex> lock(p->send_mutex);
+    if (!settle(p, ok)) return out;
+  }
+  if (ok) {
+    record_success(p, &out);
+  } else {
+    record_failure(p);
+  }
   return out;
 }
 
@@ -494,22 +513,168 @@ Outbox Protocol::unicast(core::NodeId peer, Message msg) {
   return out;
 }
 
-std::optional<PeerState> Protocol::admit(core::NodeId peer, MsgType type) {
-  Peer* p = find(peer);
-  if (p == nullptr) return std::nullopt;
-  if (!p->active.load(std::memory_order_acquire)) {
+std::optional<PeerState> Protocol::admit(Peer* peer, MsgType type) {
+  if (!peer->active.load(std::memory_order_acquire)) {
     // Slot left the active set after this frame was queued.
-    count_drop(p);
+    count_drop(peer);
     return std::nullopt;
   }
-  const PeerState state = state_of(p);
+  const PeerState state = state_of(peer);
   if (state == PeerState::kDead && type != MsgType::kHello) {
     // Breaker open: dropping beats retrying into a dead peer. The rejoin
     // resync repairs whatever the peer missed.
-    count_drop(p);
+    count_drop(peer);
     return std::nullopt;
   }
   return state;
+}
+
+// ---- send policy ----
+
+namespace {
+
+/// Info-channel updates safe to coalesce. HELLO carries probe/greeting
+/// semantics and SYNC_REQ triggers a state push, so both keep their own
+/// frames.
+bool batchable(const Message& msg) {
+  return msg.type == MsgType::kInsert || msg.type == MsgType::kErase ||
+         msg.type == MsgType::kInvalidate || msg.type == MsgType::kOwnerUpdate;
+}
+
+/// Cheap upper-bound estimate of a message's encoded size; close enough to
+/// enforce batch_max_bytes without encoding twice.
+std::size_t approx_encoded_size(const Message& msg) {
+  return 64 + msg.key.size() + msg.data.size() + msg.meta.key.size() +
+         msg.meta.content_type.size();
+}
+
+}  // namespace
+
+bool Protocol::enqueue(Outgoing frame) {
+  Peer* p = find(frame.to);
+  if (p == nullptr) return false;
+  std::lock_guard<std::mutex> lock(p->send_mutex);
+  if (p->queue.size() >= options_.outbound_queue_capacity) {
+    ++stats_.send_failures;
+    return false;
+  }
+  p->queue.push_back(std::move(frame));
+  return true;
+}
+
+bool Protocol::seal_next(Peer* peer, TimeNs now, TimeNs* wake_at) {
+  auto& queue = peer->queue;
+  std::optional<PeerState> state;
+  while (!queue.empty() && !(state = admit(peer, queue.front().msg.type))) {
+    queue.pop_front();
+  }
+  if (!state) {
+    peer->linger_until.reset();
+    return false;
+  }
+  // The run: the batchable frames at the head, within the batch limits. A
+  // short one lingers for more while nothing else waits behind it.
+  std::size_t run = 1;
+  if (options_.batch_max_messages > 1 && batchable(queue.front().msg)) {
+    std::size_t bytes = approx_encoded_size(queue.front().msg);
+    const auto room = [&] {
+      return run < options_.batch_max_messages &&
+             bytes < options_.batch_max_bytes;
+    };
+    while (run < queue.size() && room() && batchable(queue[run].msg)) {
+      bytes += approx_encoded_size(queue[run++].msg);
+    }
+    if (!peer->linger_until) {
+      peer->linger_until = now + from_millis(options_.batch_linger_ms);
+    }
+    if (run == queue.size() && room() && now < *peer->linger_until) {
+      *wake_at = *peer->linger_until;
+      return false;
+    }
+  }
+  peer->linger_until.reset();
+  peer->pending_tag = queue.front().tag;
+  peer->pending_updates = run;
+  std::vector<Message> messages;
+  for (; run > 0; --run, queue.pop_front()) {
+    messages.push_back(std::move(queue.front().msg));
+  }
+  // A run of one costs one frame either way, so it goes out plain.
+  peer->pending = messages.size() == 1
+                      ? std::move(messages.front())
+                      : Message::make_batch(self_, std::move(messages));
+  // A probe gets a single attempt (the tick sends the next one); the rest
+  // retry with backoff.
+  peer->max_attempts = *state == PeerState::kDead
+                           ? 1
+                           : std::max(1, options_.broadcast_retry_limit);
+  peer->attempts = 0;
+  peer->retry_at = 0;
+  return true;
+}
+
+NextFrame Protocol::next_frame(core::NodeId peer, TimeNs now) {
+  NextFrame next;
+  Peer* p = find(peer);
+  if (p == nullptr) return next;
+  {
+    std::lock_guard<std::mutex> lock(p->send_mutex);
+    if (!p->greet) {
+      if (!p->pending && !seal_next(p, now, &next.wake_at)) return next;
+      if (now < p->retry_at) {
+        next.wake_at = p->retry_at;
+        return next;
+      }
+      next.frame = *p->pending;
+      next.tag = p->pending_tag;
+      return next;
+    }
+  }
+  // The greeting is built outside the send lock: it reads the manager.
+  next.frame = make_hello();
+  return next;
+}
+
+bool Protocol::settle(Peer* peer, bool ok) {
+  // While a greeting is owed, next_frame hands out nothing else.
+  const bool greeting = std::exchange(peer->greet, false);
+  if (ok) ++stats_.frames_sent;
+  if (!peer->pending) return false;
+  if (!ok && ++peer->attempts < peer->max_attempts) {
+    // The failed write ended the connection; the frame (or the greeting it
+    // waited on) is tried again after a backoff.
+    ++stats_.send_retries;
+    peer->retry_at = clock_->now() + backoff(peer->attempts);
+    return false;
+  }
+  // A HELLO queued behind the greeting is said by it: the greeting itself
+  // proved the peer reachable.
+  if (ok && greeting && peer->pending->type != MsgType::kHello) return false;
+  if (!ok) {
+    ++stats_.send_failures;
+  } else if (!greeting && peer->pending_updates > 1) {
+    stats_.batched_broadcasts += peer->pending_updates;
+  }
+  peer->pending.reset();
+  return true;
+}
+
+TimeNs Protocol::backoff(int attempt) {
+  std::int64_t base = options_.backoff_base_ms;
+  for (int i = 1; i < attempt && base < options_.backoff_max_ms; ++i) base *= 2;
+  if (base > options_.backoff_max_ms) base = options_.backoff_max_ms;
+  if (base < 1) base = 1;
+  // Jitter in [base/2, base] de-synchronizes the peers' senders.
+  std::lock_guard<std::mutex> lock(timer_mutex_);
+  return from_millis(
+      static_cast<double>(backoff_rng_.uniform_int(base / 2, base)));
+}
+
+void Protocol::on_connected(core::NodeId peer) {
+  Peer* p = find(peer);
+  if (p == nullptr) return;
+  std::lock_guard<std::mutex> lock(p->send_mutex);
+  p->greet = true;
 }
 
 Status Protocol::exchange_allowed(core::NodeId peer) const {
@@ -596,12 +761,6 @@ core::CacheManager::HandoffStats Protocol::decommission(Outbox* out) {
   return handed;
 }
 
-bool Protocol::member_active(core::NodeId id) const {
-  if (id == self_) return true;
-  const Peer* p = find(id);
-  return p != nullptr && p->active.load(std::memory_order_acquire);
-}
-
 PeerState Protocol::peer_state(core::NodeId id) const {
   const Peer* p = find(id);
   return p == nullptr ? PeerState::kHealthy : state_of(p);
@@ -619,6 +778,11 @@ std::vector<PeerHealth> Protocol::peer_health() const {
       h.state = peer->state;
       h.consecutive_failures =
           static_cast<std::uint64_t>(peer->consecutive_failures);
+    }
+    {
+      std::lock_guard<std::mutex> lock(peer->send_mutex);
+      h.outbound_backlog =
+          peer->queue.size() + (peer->pending ? peer->pending_updates : 0);
     }
     h.total_failures = peer->total_failures.load(std::memory_order_relaxed);
     h.messages_dropped = peer->dropped.load(std::memory_order_relaxed);

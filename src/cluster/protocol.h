@@ -9,20 +9,25 @@
 //
 // Frames leave as an Outbox. A data request in it (kInvSync, kJoin) expects
 // an answer, handed back through on_response(); the rest are one-way info
-// frames. Send outcomes feed on_send_result(), the circuit breaker:
-// `failure_threshold` consecutive failures move a peer Healthy → Suspect →
-// Dead, quarantine its table and start HELLO probes every
-// `probe_interval_ms`; the first success then closes the breaker, drops the
-// stale table, sends kSyncReq and pushes our own entries.
+// frames for enqueue(). Each peer's queue and send policy live here:
+// next_frame() says what to write (a HELLO first on every new connection, a
+// run of directory updates as one kBatch, a failed frame again after a
+// jittered backoff) or when to ask again. A shell connects, writes and
+// reports to on_send_result(), the circuit breaker: `failure_threshold`
+// consecutive failures move a peer Healthy → Suspect → Dead, quarantine its
+// table and start HELLO probes every `probe_interval_ms`; the first success
+// then closes the breaker, drops the stale table, sends kSyncReq and pushes
+// our own entries.
 //
-// Thread safety: one mutex per peer; active flags and counters are atomics.
-// Directory updates and kFetchReq take no lock beyond the per-peer breaker
-// mutex their send outcome needs.
+// Thread safety: per peer, one mutex for the breaker and one for the queue;
+// active flags and counters are atomics.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -31,6 +36,7 @@
 
 #include "cluster/message.h"
 #include "common/clock.h"
+#include "common/random.h"
 #include "common/stats.h"
 #include "core/manager.h"
 
@@ -62,19 +68,19 @@ struct GroupOptions {
   int query_timeout_ms = 300;
 
   // ---- broadcast batching ----
-  /// Most queued directory updates (INSERT/ERASE/INVALIDATE) a sender loop
-  /// packs into one kBatch frame. 1 disables batching: every update goes in
+  /// Most queued directory updates (INSERT/ERASE/INVALIDATE/OWNER_UPDATE)
+  /// packed into one kBatch frame. 1 disables batching: every update goes in
   /// its own frame, so per-type fault rules see each update (tests that
   /// target one update type set 1).
   std::size_t batch_max_messages = 64;
   /// Approximate payload ceiling for one batch frame.
   std::size_t batch_max_bytes = 256 * 1024;
-  /// How long a sender lingers for more updates once it holds the first one
+  /// How long a run lingers for more updates once it holds the first one
   /// and the queue runs dry. Bounds the latency batching can add.
   int batch_linger_ms = 2;
 
   // ---- failure handling ----
-  /// Send attempts per queued broadcast before counting a failure.
+  /// Send attempts per queued frame before counting a failure.
   int broadcast_retry_limit = 3;
   int backoff_base_ms = 10;   ///< delay before the first retry (doubles)
   int backoff_max_ms = 200;   ///< backoff ceiling
@@ -109,9 +115,8 @@ struct GroupOptions {
 /// Counters for the overhead experiments (Tables 3 and 4).
 struct GroupStats {
   Counter broadcasts_sent;
-  /// Frames actually written to peer info sockets by the sender loops
-  /// (greetings included). With batching this is what amortization shrinks:
-  /// many queued updates ride in one frame.
+  /// Frames written to peer info channels (greetings included). With
+  /// batching this is what amortization shrinks: many updates, one frame.
   Counter frames_sent;
   /// Updates that rode inside a kBatch frame (counts inner messages).
   Counter batched_broadcasts;
@@ -164,8 +169,25 @@ struct PeerHealth {
 struct Outgoing {
   core::NodeId to = core::kInvalidNode;
   Message msg;
+  /// The shell's own label, opaque to the protocol and handed back with the
+  /// frame by next_frame() (the virtual shell's traffic class).
+  int tag = 0;
 };
 using Outbox = std::vector<Outgoing>;
+
+/// What a peer's sender does next (Protocol::next_frame): write `frame`
+/// and report it, or else wait until `wake_at` (a linger or a backoff;
+/// kIdle: until the next enqueue).
+struct NextFrame {
+  static constexpr TimeNs kIdle = std::numeric_limits<TimeNs>::max();
+  std::optional<Message> frame;
+  int tag = 0;  ///< the first queued frame's Outgoing::tag (0: a greeting)
+  TimeNs wake_at = kIdle;
+};
+
+/// Which send an outcome reports: a data exchange, or the frame
+/// next_frame() returned.
+enum class SendLeg { kExchange, kFrame };
 
 /// Data-channel requests: the frames that expect an answer on the same
 /// connection (everything else rides the one-way info channel).
@@ -215,10 +237,27 @@ class Protocol {
   /// The answer to a data request this protocol emitted.
   void on_response(core::NodeId peer, const Message& response);
 
-  /// Outcome of one send (or exchange) to `peer`: runs the breaker.
-  Outbox on_send_result(core::NodeId peer, bool ok);
+  /// Outcome of one send to `peer`. A failed frame ends the connection and
+  /// is retried while it has attempts left (a probe to a dead peer has
+  /// one); the breaker hears of it once, delivered or given up.
+  Outbox on_send_result(core::NodeId peer, bool ok,
+                        SendLeg leg = SendLeg::kExchange);
 
   // ---- outbound ----
+
+  /// Queues one info frame for its peer. False, counted in send_failures,
+  /// when the queue holds `outbound_queue_capacity` frames already.
+  bool enqueue(Outgoing frame);
+
+  /// The frame to write to `peer` now, or when to ask again; the same one
+  /// until its outcome is reported. A frame leaving the queue is dropped
+  /// for an inactive slot, and for an open breaker unless it is a HELLO. A
+  /// run of directory updates leaves as one kBatch (a run of one plain) and
+  /// never passes a frame of another type.
+  NextFrame next_frame(core::NodeId peer, TimeNs now);
+
+  /// The shell opened a new connection to `peer`: a HELLO goes first.
+  void on_connected(core::NodeId peer);
 
   /// One frame per active peer.
   Outbox broadcast(const Message& msg);
@@ -226,12 +265,6 @@ class Protocol {
   /// `msg` to `peer` when it is an active member; otherwise counted as
   /// dropped (anti-entropy repairs an update that raced a transition).
   Outbox unicast(core::NodeId peer, Message msg);
-
-  /// Whether a queued frame of `type` may still go to `peer`: the slot is
-  /// active and, unless the frame is a HELLO probe, its breaker is not
-  /// open. Returns the breaker state of an admitted frame; a refused frame
-  /// is counted as dropped.
-  std::optional<PeerState> admit(core::NodeId peer, MsgType type);
 
   /// Whether a data exchange with `peer` may start (active, breaker
   /// closed); otherwise the status to fail fast with.
@@ -257,13 +290,10 @@ class Protocol {
   /// successors (over the manager's bus), then broadcast kDecommission.
   core::CacheManager::HandoffStats decommission(Outbox* out);
 
-  /// Whether `id` is self or an active member slot.
-  bool member_active(core::NodeId id) const;
-
   // ---- introspection ----
 
   PeerState peer_state(core::NodeId id) const;
-  /// Breaker and counter fields of every peer (outbound_backlog left 0).
+  /// Breaker, queue and counter fields of every peer.
   std::vector<PeerHealth> peer_health() const;
   /// Message::hello carrying the epoch vectors and membership epoch.
   Message make_hello() const;
@@ -296,6 +326,19 @@ class Protocol {
     std::atomic<std::uint64_t> total_failures{0};
     std::atomic<std::uint64_t> dropped{0};
     std::atomic<std::uint64_t> probes{0};
+
+    /// The outbound side, guarded by send_mutex (taken before `mutex`):
+    /// `pending`, made of `pending_updates` queued frames, is being sent.
+    mutable std::mutex send_mutex;
+    std::deque<Outgoing> queue;
+    std::optional<TimeNs> linger_until;  ///< the head run waits until then
+    std::optional<Message> pending;
+    int pending_tag = 0;
+    std::size_t pending_updates = 0;
+    int attempts = 0;
+    int max_attempts = 1;
+    TimeNs retry_at = 0;
+    bool greet = false;  ///< a new connection owes a HELLO
   };
 
   Peer* find(core::NodeId id) const;
@@ -304,6 +347,18 @@ class Protocol {
   static void close_breaker(Peer* peer);
   PeerState state_of(const Peer* peer) const;
   void count_drop(Peer* peer);
+  /// Whether a queued frame of `type` may still go to `peer`: the slot is
+  /// active and, unless the frame is a HELLO, its breaker is not open.
+  /// Returns the breaker state of an admitted frame; a refused frame is
+  /// counted as dropped.
+  std::optional<PeerState> admit(Peer* peer, MsgType type);
+  // Both require peer->send_mutex. seal_next makes `pending` from the
+  // queue, or says when to try again. settle books a written frame's
+  // outcome, true when the breaker should hear of it.
+  bool seal_next(Peer* peer, TimeNs now, TimeNs* wake_at);
+  bool settle(Peer* peer, bool ok);
+  /// Jittered exponential delay before retry number `attempt` (1-based).
+  TimeNs backoff(int attempt);
 
   /// Closes the breaker; a dead peer's recovery resyncs both directions.
   void record_success(Peer* peer, Outbox* out);
@@ -332,6 +387,7 @@ class Protocol {
 
   std::mutex timer_mutex_;
   TimeNs next_anti_entropy_ = 0;  // guarded by timer_mutex_
+  Rng backoff_rng_;               // guarded by timer_mutex_
 
   std::mutex join_mutex_;
   std::optional<Message> join_ack_;  // guarded by join_mutex_
@@ -378,8 +434,9 @@ class ProtocolBus : public core::CooperationBus {
               const GroupOptions& options, const Clock* clock)
       : protocol_(self, nodes, options, clock) {}
 
-  /// Sends the protocol's own frames; a data request's answer goes back
-  /// through Protocol::on_response.
+  /// Sends the protocol's own frames: info frames to Protocol::enqueue, a
+  /// data request as an exchange whose answer goes back through
+  /// Protocol::on_response.
   virtual void emit(Outbox out) = 0;
   /// Sends the manager's directory updates and handoffs.
   virtual void send_updates(Outbox out) { emit(std::move(out)); }

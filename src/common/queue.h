@@ -3,7 +3,6 @@
 // producers fail fast and consumers drain remaining items then see kClosed.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <mutex>
@@ -39,21 +38,6 @@ class BoundedQueue {
   std::optional<T> pop() {
     std::unique_lock<std::mutex> lock(mutex_);
     not_empty_.wait(lock, [&] { return closed_ || !items_.empty(); });
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    not_full_.notify_one();
-    return item;
-  }
-
-  /// Blocks up to `timeout` while empty; nullopt on timeout or once closed
-  /// and drained. Lets a consumer linger briefly for more work (batching)
-  /// without committing to a full blocking pop.
-  template <typename Rep, typename Period>
-  std::optional<T> pop_for(std::chrono::duration<Rep, Period> timeout) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    not_empty_.wait_for(lock, timeout,
-                        [&] { return closed_ || !items_.empty(); });
     if (items_.empty()) return std::nullopt;
     T item = std::move(items_.front());
     items_.pop_front();

@@ -2,8 +2,9 @@
 // names each key's owner, which alone holds the key's directory record.
 // A membership change resizes the ring and forwards only the remapped
 // records; for kRingSettleSeconds after it (on the manager's clock) a miss
-// asks the pre-transition owner first — the dual-read window — so no lookup
-// misses a record still on its way to its new owner.
+// asks the pre-transition owner first, while it is still a member — the
+// dual-read window — so no lookup misses a record still on its way to its
+// new owner.
 //
 // Lock order: CacheManager's commit_mutex_ → ring_mutex_ (announce_insert
 // and announce_erase run inside commit sections and read the ring). Nothing
@@ -45,7 +46,11 @@ class PartitionedLocator final : public Locator {
     {
       std::shared_lock lock(ring_mutex_);
       current = holder(ring_.owner_of(key));
-      previous = window_open() ? holder(prev_ring_->owner_of(key)) : current;
+      // A pre-transition owner that has left is no one to ask: its records
+      // went to their new owners with its decommission.
+      const std::uint32_t before =
+          window_open() ? prev_ring_->owner_of(key) : HashRing::kNoOwner;
+      previous = ring_.contains(before) ? holder(before) : current;
     }
     if (previous != current) {
       ++ctx_.stats->dual_read_probes;

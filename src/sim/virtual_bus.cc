@@ -1,12 +1,25 @@
 #include "sim/virtual_bus.h"
 
+#include <algorithm>
+
 namespace swala::sim {
 
+using cluster::FaultKind;
 using cluster::Message;
 using cluster::MsgType;
 using core::NodeId;
 
 namespace {
+
+/// The fate `faults` (null = none) deals one leg to `to`; only a kDelay
+/// keeps its delay.
+cluster::FaultDecision decide(cluster::FaultInjector* faults, NodeId to,
+                              MsgType type) {
+  if (faults == nullptr) return {};
+  cluster::FaultDecision fault = faults->decide(to, type);
+  if (fault.kind != FaultKind::kDelay) fault.delay_ms = 0;
+  return fault;
+}
 
 /// Decodes one framed message (the u32 length prefix is skipped; a torn
 /// frame fails to decode).
@@ -34,7 +47,8 @@ VirtualBus::VirtualBus(SimEngine* engine, const BusList* buses,
       probe_latency_(probe_latency),
       faults_(faults),
       alive_(alive),
-      traffic_(traffic) {}
+      traffic_(traffic),
+      links_(nodes) {}
 
 Result<core::EntryMeta> VirtualBus::lookup_at_owner(NodeId ring_owner,
                                                     const std::string& key,
@@ -43,6 +57,7 @@ Result<core::EntryMeta> VirtualBus::lookup_at_owner(NodeId ring_owner,
   if (ring_owner >= buses_->size()) {
     return Status(StatusCode::kInvalidArgument, "bad ring owner");
   }
+  if (auto st = protocol_.exchange_allowed(ring_owner); !st.is_ok()) return st;
   pending_latency_ += probe_latency_;
   const auto answer = exchange(ring_owner, Message::query(self_, key),
                                &traffic_->queries, &pending_latency_);
@@ -91,86 +106,114 @@ void VirtualBus::tick() {
   if (up(self_)) emit(protocol_.tick());
 }
 
+void VirtualBus::restart() {
+  protocol_.reset();
+  for (Link& link : links_) link.connected = false;
+}
+
 // ---- frames ----
 
 void VirtualBus::emit(cluster::Outbox out) {
-  for (const auto& frame : out) {
-    FrameTally* tally = protocol_tally(frame.msg.type);
+  for (auto& frame : out) {
+    const Charge charge = protocol_charge(frame.msg.type);
     if (!cluster::is_data_request(frame.msg.type)) {
-      send(frame.to, frame.msg, tally);
+      frame.tag = charge;
+      queue(std::move(frame));
       continue;
     }
     if (!protocol_.exchange_allowed(frame.to).is_ok()) continue;
-    if (auto resp = exchange(frame.to, frame.msg, tally, nullptr)) {
+    if (auto resp = exchange(frame.to, frame.msg, tally(charge), nullptr)) {
       protocol_.on_response(frame.to, *resp);
     }
   }
 }
 
-FrameTally* VirtualBus::protocol_tally(MsgType type) const {
+VirtualBus::Charge VirtualBus::protocol_charge(MsgType type) const {
   switch (type) {
     case MsgType::kHello:
     case MsgType::kJoin:
     case MsgType::kJoinAck:
     case MsgType::kDecommission:
-      return nullptr;
+      return kUncharged;
     default:
-      return traffic_->in_transition ? &traffic_->transitions
-                                     : &traffic_->repair;
+      return traffic_->in_transition ? kTransitions : kRepair;
   }
+}
+
+FrameTally* VirtualBus::tally(int charge) const {
+  FrameTally* const tallies[] = {nullptr, &traffic_->updates,
+                                 &traffic_->transitions, &traffic_->handoffs,
+                                 &traffic_->repair};
+  return tallies[charge];
 }
 
 void VirtualBus::send_updates(cluster::Outbox out) {
-  FrameTally* tally = traffic_->in_transition ? &traffic_->transitions
-                                              : &traffic_->updates;
-  for (const auto& frame : out) {
+  const Charge charge = traffic_->in_transition ? kTransitions : kUpdates;
+  for (auto& frame : out) {
     // A lost handoff costs one future re-execution, not data.
-    send(frame.to, frame.msg,
-         frame.msg.handoff ? &traffic_->handoffs : tally);
+    frame.tag = frame.msg.handoff ? kHandoffs : charge;
+    queue(std::move(frame));
   }
 }
 
-void VirtualBus::send(NodeId to, const Message& msg, FrameTally* tally) {
-  // An inactive slot, or an open breaker for anything but a probe, drops
-  // the frame at the sender, as NodeGroup's sender loop does.
-  if (!protocol_.admit(to, msg.type)) return;
+void VirtualBus::queue(cluster::Outgoing frame) {
+  const NodeId to = frame.to;
+  if (protocol_.enqueue(std::move(frame))) pump(to);
+}
+
+void VirtualBus::pump(NodeId peer, TimeNs now) {
+  Link& link = links_[peer];
+  // A crashed node sends nothing; a frame queued to `peer` while its loop
+  // runs further up the stack is sent by that loop.
+  if (link.pumping || !up(self_)) return;
+  link.pumping = true;
+  for (;;) {
+    now = std::max(now, engine_->clock()->now());
+    const cluster::NextFrame next = protocol_.next_frame(peer, now);
+    if (!next.frame) {
+      const TimeNs at = next.wake_at;
+      if (at != cluster::NextFrame::kIdle) {
+        engine_->schedule_at(to_seconds(at), [this, peer, at] {
+          pump(peer, at);
+        });
+      }
+      break;
+    }
+    bool ok = false;
+    if (!link.connected) {
+      // Nothing listens on a down node: the connect fails.
+      if (up(peer)) {
+        link.connected = true;
+        protocol_.on_connected(peer);
+        continue;  // the greeting goes first
+      }
+    } else {
+      ok = send(peer, *next.frame, tally(next.tag));
+      link.connected = ok;
+    }
+    emit(protocol_.on_send_result(peer, ok, cluster::SendLeg::kFrame));
+  }
+  link.pumping = false;
+}
+
+bool VirtualBus::send(NodeId to, const Message& msg, FrameTally* tally) {
   std::string frame = cluster::encode_message(msg);
   if (tally != nullptr) tally->add(frame.size());
-  if (!up(to)) {
-    // Nothing listens: the connect fails, and so does the send.
-    emit(protocol_.on_send_result(to, false));
-    return;
-  }
-  double delay = propagation_delay_;
-  int copies = 1;
-  bool torn = false;
-  if (faults_ != nullptr) {
-    const auto fault = faults_->decide(to, msg.type);
-    switch (fault.kind) {
-      case cluster::FaultKind::kNone:
-        break;
-      case cluster::FaultKind::kDelay:
-        delay += fault.delay_ms / 1000.0;
-        break;
-      case cluster::FaultKind::kDuplicate:
-        copies = 2;
-        break;
-      case cluster::FaultKind::kDrop:
-      case cluster::FaultKind::kBlackhole:
-        copies = 0;  // lost; the sender believes it was delivered
-        break;
-      case cluster::FaultKind::kTruncate:
-        torn = true;
-        frame.resize(frame.size() / 2);
-        break;
-    }
-  }
+  if (!up(to)) return false;  // the peer went down under the connection
+  const auto fault = decide(faults_, to, msg.type);
+  const bool torn = fault.kind == FaultKind::kTruncate;
+  if (torn) frame.resize(frame.size() / 2);
+  // A lost frame: the sender believes it was delivered.
+  const bool lost = fault.kind == FaultKind::kDrop ||
+                    fault.kind == FaultKind::kBlackhole;
+  const int copies = fault.kind == FaultKind::kDuplicate ? 2 : lost ? 0 : 1;
   for (int copy = 0; copy < copies; ++copy) {
-    engine_->schedule_in(delay, [this, to, frame] {
-      (*buses_)[to]->receive(self_, frame);
-    });
+    engine_->schedule_in(propagation_delay_ + fault.delay_ms / 1000.0,
+                         [this, to, frame] {
+                           (*buses_)[to]->receive(self_, frame);
+                         });
   }
-  emit(protocol_.on_send_result(to, !torn));
+  return !torn;
 }
 
 void VirtualBus::receive(NodeId from, const std::string& frame) {
@@ -194,39 +237,37 @@ void VirtualBus::receive(NodeId from, const std::string& frame) {
 std::optional<Message> VirtualBus::exchange(NodeId to, const Message& request,
                                             FrameTally* tally,
                                             double* latency) {
-  const std::string frame = cluster::encode_message(request);
-  if (tally != nullptr) tally->add(frame.size());
-  if (!up(to)) {
+  // A leg survives unless dropped, torn or black-holed; kDelay stretches
+  // the round trip, and an exchange leg is never doubled.
+  const auto survives = [latency](cluster::FaultInjector* faults, NodeId dest,
+                                  MsgType type) {
+    const auto fault = decide(faults, dest, type);
+    if (latency != nullptr) *latency += fault.delay_ms / 1000.0;
+    return fault.kind == FaultKind::kNone || fault.kind == FaultKind::kDelay ||
+           fault.kind == FaultKind::kDuplicate;
+  };
+  // A lost leg expires the requester's deadline: a breaker failure, as in
+  // NodeGroup::data_exchange.
+  const auto lost = [&]() -> std::optional<Message> {
     emit(protocol_.on_send_result(to, false));
     return std::nullopt;
-  }
-  if (faults_ != nullptr) {
-    const auto fault = faults_->decide(to, request.type);
-    switch (fault.kind) {
-      case cluster::FaultKind::kNone:
-      case cluster::FaultKind::kDuplicate:  // never doubles a request
-        break;
-      case cluster::FaultKind::kDelay:
-        if (latency != nullptr) *latency += fault.delay_ms / 1000.0;
-        break;
-      case cluster::FaultKind::kDrop:
-      case cluster::FaultKind::kTruncate:
-      case cluster::FaultKind::kBlackhole:
-        return std::nullopt;
-    }
-  }
+  };
+  const std::string frame = cluster::encode_message(request);
+  if (tally != nullptr) tally->add(frame.size());
+  if (!up(to) || !survives(faults_, to, request.type)) return lost();
   auto decoded = decode_frame(frame);
-  if (!decoded) return std::nullopt;
+  if (!decoded) return lost();
   VirtualBus& peer = *(*buses_)[to];
   cluster::Outbox side_effects;
   auto answer = peer.protocol_.answer(decoded.value(), &side_effects);
   peer.emit(std::move(side_effects));
-  if (!answer) return std::nullopt;
+  if (!answer) return lost();
   const std::string reply = cluster::encode_message(*answer);
   if (tally != nullptr) tally->add(reply.size());
+  if (!survives(peer.faults_, self_, answer->type)) return lost();
   emit(protocol_.on_send_result(to, true));
   auto back = decode_frame(reply);
-  if (!back) return std::nullopt;
+  if (!back) return lost();
   return std::move(back.value());
 }
 

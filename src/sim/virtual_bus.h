@@ -6,14 +6,17 @@
 // (probes, fetches, kInvSync, kJoin) at once, a probe's or fetch's round
 // trip accruing as pending latency the caller charges to its request.
 //
-// Each leg consults the sender's FaultInjector as Transport::send does:
-// kDrop/kBlackhole lose it while the sender believes it sent, kDelay
-// stretches it, kDuplicate doubles a one-way frame, kTruncate delivers a
-// torn frame the receiver's decoder rejects and fails the send. A leg to a
-// down node fails the send, so the breaker, HELLO probes and rejoin resync
-// run as on TCP. Unlike the TCP shell, this one sends no connection
-// greeting, retries no failed send, injects no fault on an exchange's
-// response, and does not count a lost request as a breaker failure.
+// Per peer it runs NodeGroup's sender loop as engine events: ask the
+// protocol for the next frame (or when to come back), connect, greet,
+// write, report. A virtual connection ends with a failed leg, so the next
+// frame is greeted as after a TCP reconnect.
+//
+// Each leg, an exchange's request and response included, consults the
+// sending node's FaultInjector as Transport::send does: kDrop/kBlackhole
+// lose it while the sender believes it sent, kDelay stretches it,
+// kDuplicate doubles a one-way frame, kTruncate delivers a torn frame the
+// receiver's decoder rejects and fails the send. A node that is down
+// refuses connections and loses frames in flight to it.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +27,7 @@
 
 #include "cluster/protocol.h"
 #include "cluster/transport.h"
+#include "common/clock.h"
 #include "core/manager.h"
 #include "sim/engine.h"
 
@@ -90,26 +94,49 @@ class VirtualBus final : public cluster::ProtocolBus {
   /// NodeGroup's purge-loop tick: dead-peer probes, anti-entropy rounds.
   void tick();
 
+  /// A restart, as NodeGroup::stop() + start(): every breaker closed, the
+  /// queues emptied and every connection to be opened (and greeted) anew.
+  void restart();
+
  protected:
   void emit(cluster::Outbox out) override;
   /// Charged as update (or transition) legs; handoffs as handoff frames.
   void send_updates(cluster::Outbox out) override;
 
  private:
+  /// Where a frame is charged, fixed when it is queued (its
+  /// cluster::Outgoing::tag).
+  enum Charge : int { kUncharged, kUpdates, kTransitions, kHandoffs, kRepair };
+
+  /// One peer's side of the sender loop.
+  struct Link {
+    bool connected = false;
+    bool pumping = false;  ///< pump() is on the stack
+  };
+
   bool up(core::NodeId node) const {
     return alive_ == nullptr || (*alive_)[node] != 0;
   }
 
-  /// Where a protocol frame of `type` is charged (null = not charged).
-  FrameTally* protocol_tally(cluster::MsgType type) const;
+  /// Where a protocol frame of `type` is charged.
+  Charge protocol_charge(cluster::MsgType type) const;
+  FrameTally* tally(int charge) const;
+  /// Queues one info frame and runs its peer's sender loop.
+  void queue(cluster::Outgoing frame);
 
-  /// One one-way leg to `to`, charged to `tally` (may be null).
-  void send(core::NodeId to, const cluster::Message& msg, FrameTally* tally);
+  /// NodeGroup::sender_loop for `peer`, at one instant: writes what is due
+  /// and schedules itself for the next linger or backoff. `now` floors the
+  /// engine clock (a wake-up lands at its own time).
+  void pump(core::NodeId peer, TimeNs now = 0);
+  /// One one-way leg to `to`, charged to `tally` (may be null); false when
+  /// the write fails.
+  bool send(core::NodeId to, const cluster::Message& msg, FrameTally* tally);
   /// Decodes one arriving frame from `from` and applies it.
   void receive(core::NodeId from, const std::string& frame);
-  /// One request/response round with `to`'s Protocol. nullopt when the
-  /// peer is down, a fault eats the request, or it is no data request.
-  /// kDelay faults on the request add to *latency (when given).
+  /// One request/response round with `to`'s Protocol, reported to the
+  /// breaker. nullopt when the peer is down, a fault eats either leg, or
+  /// the request is no data request. kDelay faults on either leg add to
+  /// *latency (when given).
   std::optional<cluster::Message> exchange(core::NodeId to,
                                            const cluster::Message& request,
                                            FrameTally* tally,
@@ -124,6 +151,7 @@ class VirtualBus final : public cluster::ProtocolBus {
   const std::vector<char>* alive_;
   VirtualTraffic* traffic_;
   double pending_latency_ = 0.0;
+  std::vector<Link> links_;  ///< by peer id
 };
 
 }  // namespace swala::sim

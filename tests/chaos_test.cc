@@ -227,21 +227,24 @@ TEST(ChaosSimTest, CrashIsFoundByTheBreakerAndRejoinWaitsForAProbe) {
   // Nobody tells the survivors that node 2 crashed: failed sends open their
   // breakers, and the rejoin resync starts with the first HELLO probe that
   // reaches the restarted node (probe cadence 100 ms), not at the restart.
+  // Each failure counts once its frame has used up its three attempts (5-20
+  // ms of backoff), so the t=2.0 digest round opens the breaker at 2.012
+  // and the probes follow from there.
   ChaosSchedule s;
   s.nodes = 3;
   s.seed = 31;
   s.duration_seconds = 5.0;
   s.actions.push_back(at(0.1, ActionKind::kInsert, 0, "/cgi-bin/rj/a"));
   s.actions.push_back(at(0.5, ActionKind::kCrash, 2));
-  s.actions.push_back(at(2.55, ActionKind::kRestart, 2));
+  s.actions.push_back(at(2.58, ActionKind::kRestart, 2));
   const ChaosVerdict verdict = run_sim_chaos(s);
   const std::string log = verdict.log_text();
   EXPECT_TRUE(verdict.passed) << log;
-  EXPECT_NE(log.find("t=2.000 node 0: peer 2 marked dead after 2 "
+  EXPECT_NE(log.find("t=2.012 node 0: peer 2 marked dead after 2 "
                      "consecutive failures"),
             std::string::npos)
       << log;
-  EXPECT_NE(log.find("t=2.600 node 0: peer 2 recovered; requesting resync"),
+  EXPECT_NE(log.find("t=2.650 node 0: peer 2 recovered; requesting resync"),
             std::string::npos)
       << log;
 }

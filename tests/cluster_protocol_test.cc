@@ -121,9 +121,14 @@ TEST(ClusterProtocolTest, BreakerOpensAtThresholdAndProbesOnCadence) {
   EXPECT_EQ(node.protocol->peer_state(1), PeerState::kDead);
   EXPECT_TRUE(node.manager->directory().quarantined(1));
   EXPECT_FALSE(node.protocol->exchange_allowed(1).is_ok());
-  // Only a HELLO probe may still go to a dead peer.
-  EXPECT_FALSE(node.protocol->admit(1, MsgType::kInsert).has_value());
-  EXPECT_TRUE(node.protocol->admit(1, MsgType::kHello).has_value());
+  // Only a HELLO probe may still leave for a dead peer.
+  ASSERT_TRUE(node.protocol->enqueue({1, Message::sync_req(0)}));
+  ASSERT_TRUE(node.protocol->enqueue({1, Message::hello(0, {}, 0)}));
+  const NextFrame next = node.protocol->next_frame(1, node.clock.now());
+  ASSERT_TRUE(next.frame.has_value());
+  EXPECT_EQ(next.frame->type, MsgType::kHello);
+  EXPECT_EQ(node.protocol->stats().messages_dropped, 1u);
+  (void)node.protocol->on_send_result(1, false, SendLeg::kFrame);
 
   // Probes follow probe_interval_ms from the moment the breaker opened.
   EXPECT_EQ(count(node.protocol->tick(), MsgType::kHello, 1), 0u);
@@ -158,14 +163,20 @@ TEST(ClusterProtocolTest, HelloFromDeadPeerRecoversResyncsAndPushes) {
 
 TEST(ClusterProtocolTest, JoinIsAnsweredWithTheMembershipView) {
   Node node({0, 1});
-  ASSERT_FALSE(node.protocol->member_active(2));
+  const auto active = [&node](NodeId id) {
+    for (const auto& h : node.protocol->peer_health()) {
+      if (h.id == id) return h.active;
+    }
+    return false;
+  };
+  ASSERT_FALSE(active(2));
   Outbox pushes;
   const auto ack = node.protocol->answer(Message::join(2), &pushes);
   ASSERT_TRUE(ack.has_value());
   EXPECT_EQ(ack->type, MsgType::kJoinAck);
   EXPECT_EQ(ack->members, (std::vector<NodeId>{0, 1, 2}));
   EXPECT_EQ(ack->membership_epoch, node.manager->membership_epoch());
-  EXPECT_TRUE(node.protocol->member_active(2));
+  EXPECT_TRUE(active(2));
   EXPECT_TRUE(node.manager->is_member(2));
   EXPECT_EQ(node.protocol->stats().joins_served, 1u);
 }

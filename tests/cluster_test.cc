@@ -1,6 +1,7 @@
 // Tests for the cluster layer: wire-protocol roundtrips (including a
 // randomized property sweep), framing over real sockets, and LocalCluster
-// integration: broadcast visibility, remote fetch, false-hit handling.
+// integration: broadcast visibility, remote fetch, false-hit handling, the
+// data server's thread reaping and the sender's doorbell.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -415,6 +416,71 @@ TEST(LocalClusterTest, ConcurrentInsertsConvergeWithBatching) {
   }
   EXPECT_GT(batched_total, 0u)
       << "no broadcast was ever coalesced despite batching enabled";
+}
+
+// A data thread serving a pooled connection lives as long as that
+// connection. The accept loop reaps only threads that have returned, so
+// hundreds of short connections later a fresh one is still served.
+TEST(LocalClusterTest, DataAcceptOutlivesManyShortConnections) {
+  LocalCluster cluster(3, cluster_options);
+  const auto uri = uri_of("/cgi-bin/held");
+  auto lookup = cluster.manager(0).lookup(http::Method::kGet, uri, Deadline());
+  cluster.manager(0).complete(http::Method::kGet, uri, lookup.rule,
+                              ok_output("held"), 1.0);
+  const std::string key = "GET /cgi-bin/held";
+  // Node 1's fetch leaves its connection to node 0 idle in its pool.
+  ASSERT_TRUE(cluster.group(1).fetch_remote(0, key).is_ok());
+
+  const net::InetAddress data{"127.0.0.1", cluster.group(0).data_port()};
+  for (int i = 0; i < 257; ++i) {
+    auto conn = net::TcpStream::connect(data, 1000);
+    ASSERT_TRUE(conn.is_ok()) << i;
+    (void)conn.value().set_recv_timeout(1000);
+    ASSERT_TRUE(
+        write_message(conn.value(), Message::fetch_req(2, key)).is_ok());
+    const auto resp = read_message(conn.value());
+    ASSERT_TRUE(resp.is_ok())
+        << "connection " << i << ": " << resp.status().to_string();
+    EXPECT_TRUE(resp.value().found);
+  }  // each connection closes as it leaves scope, and its thread returns
+
+  // Node 2 holds no pooled connection: its fetch opens a fresh one.
+  const auto start = std::chrono::steady_clock::now();
+  const auto fetched =
+      cluster.group(2).fetch_remote(0, key, /*budget_ms=*/1000);
+  EXPECT_TRUE(fetched.is_ok()) << fetched.status().to_string();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+}
+
+// Bursts of updates from several threads with idle gaps between them: the
+// sender sleeps on its doorbell in every gap, and a ring lost between its
+// last look at the queue and its wait would strand the burst's tail.
+TEST(LocalClusterTest, BroadcastBurstsFromManyThreadsAllArrive) {
+  LocalCluster cluster(2, cluster_options);  // batching on, the default
+  constexpr int kThreads = 4;
+  constexpr int kBursts = 25;
+  constexpr int kPerBurst = 4;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&cluster, t] {
+      for (int b = 0; b < kBursts; ++b) {
+        for (int i = 0; i < kPerBurst; ++i) {
+          core::EntryMeta meta;
+          meta.key = "GET /cgi-bin/h" + std::to_string(t) + "/" +
+                     std::to_string(b * kPerBurst + i);
+          meta.owner = 0;
+          meta.version = 1;
+          cluster.group(0).broadcast_insert(meta);
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(1 + (b + t) % 3));
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  const std::size_t expected = kThreads * kBursts * kPerBurst;
+  EXPECT_TRUE(eventually([&] {
+    return cluster.manager(1).directory().size() == expected;
+  })) << cluster.manager(1).directory().size() << " of " << expected;
 }
 
 }  // namespace

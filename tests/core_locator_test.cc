@@ -212,6 +212,34 @@ TEST(LocatorTest, DualReadWindowClosesItselfAfterTheSettleTime) {
   EXPECT_EQ(manager.stats().dual_read_probes, 1u);
 }
 
+// The dual-read window after a decommission: the key's pre-transition
+// owner has left, so it is not asked. (The TCP shell refuses an exchange
+// with a departed member, and a refused probe counts as a fallback to
+// local execution although the current owner then serves the hit.)
+TEST(LocatorTest, DualReadSkipsAnOwnerThatLeft) {
+  ManualClock clock;
+  RecordingBus bus;
+  const HashRing before = ring_of({0, 1, 2});
+  const HashRing after = ring_of({1, 2});
+  const auto target = targets_where(1, [&](const std::string& key) {
+    return before.owner_of(key) == 0 && after.owner_of(key) == 1;
+  })[0];
+  bus.owner_records[{1, key_of(target)}] = 1;  // forwarded by the leaver
+  bus.remote_data[key_of(target)] = "moved";
+  bus.refused.insert(0);
+  CacheManager manager(2, 3, options_for(DirectoryMode::kPartitioned), &clock,
+                       &bus);
+  manager.member_left(0);
+  ASSERT_TRUE(manager.locator().ring_transition_active());
+
+  auto r = manager.lookup(http::Method::kGet, uri_of(target), Deadline());
+  ASSERT_EQ(r.outcome, LookupOutcome::kHit);
+  EXPECT_TRUE(r.remote);
+  EXPECT_EQ(bus.owner_probes, std::vector<NodeId>{1});
+  EXPECT_EQ(manager.stats().dual_read_probes, 0u);
+  EXPECT_EQ(manager.stats().fallback_executions, 0u);
+}
+
 // ---- digest pairs ----
 
 TEST(LocatorTest, DigestPairsMatchAcrossAWiredPairInBothModes) {

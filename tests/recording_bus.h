@@ -1,13 +1,15 @@
 // The one CooperationBus test double shared by the core test binaries.
 // It records every insert, erase and (pattern, epoch) invalidation a
 // manager broadcasts and every partitioned owner update and owner probe it
-// sends, serves remote fetches and owner probes from scripted tables, and
+// sends, serves remote fetches and owner probes from scripted tables (or
+// refuses a probe, as to a departed member), and
 // can forward inserts and erases to a peer manager to wire two managers
 // together (dropping them while `drop_link` is set).
 #pragma once
 
 #include <map>
 #include <mutex>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -97,12 +99,16 @@ class RecordingBus : public CooperationBus {
   }
 
   /// Answers from `owner_records` — (ring owner, key) → the caching node
-  /// that owner knows of; kNotFound when not scripted.
+  /// that owner knows of; kNotFound when not scripted, kUnavailable when
+  /// the owner is in `refused`.
   Result<EntryMeta> lookup_at_owner(NodeId ring_owner, const std::string& key,
                                     int budget_ms) override {
     (void)budget_ms;
     std::lock_guard<std::mutex> lock(mutex);
     owner_probes.push_back(ring_owner);
+    if (refused.count(ring_owner) != 0) {
+      return Status(StatusCode::kUnavailable, "not an active member");
+    }
     const auto it = owner_records.find({ring_owner, key});
     if (it == owner_records.end()) {
       return Status(StatusCode::kNotFound, "owner knows no copy: " + key);
@@ -122,6 +128,9 @@ class RecordingBus : public CooperationBus {
   std::vector<OwnerUpdate> owner_updates;
   std::vector<NodeId> owner_probes;  ///< ring owner asked, in order
   std::map<std::pair<NodeId, std::string>, NodeId> owner_records;
+  /// Owners whose probes fail at once, as NodeGroup refuses a departed
+  /// member.
+  std::set<NodeId> refused;
 
   /// Optional peer that receives forwarded inserts and erases (owner
   /// updates only when addressed to it), called outside `mutex`. Neither field is guarded: only single-threaded tests

@@ -1,12 +1,14 @@
 // Tests for the discrete-event simulator: engine ordering, the FCFS
-// resource, and cluster-model behaviours the experiments depend on
-// (hit accounting vs the theoretical bound, cooperative > stand-alone,
-// caching reduces response time, determinism).
+// resource, the virtual shell's send policy (greeting, batch retry, the
+// breaker on lost exchange legs), and cluster-model behaviours the
+// experiments depend on (hit accounting vs the theoretical bound,
+// cooperative > stand-alone, caching reduces response time, determinism).
 #include <gtest/gtest.h>
 
 #include <unordered_map>
 
 #include "sim/cluster_sim.h"
+#include "sim/virtual_bus.h"
 #include "workload/adl_synth.h"
 #include "workload/analyzer.h"
 
@@ -180,6 +182,157 @@ TEST(ClusterSimTest, CooperativeUsesRemoteHits) {
   config.client_streams = 8;
   const auto report = run_cluster_sim(mix_trace(), config);
   EXPECT_GT(report.cache.remote_hits, 0u);
+}
+
+// ---- the virtual shell's send policy ----
+
+/// Two nodes over sim::VirtualBus on one engine, each with a manager and a
+/// fault injector, 1 ms apart; node 1's protocol events are logged.
+struct VirtualPair {
+  explicit VirtualPair(cluster::GroupOptions go = {}) {
+    go.anti_entropy_interval_ms = 0;
+    for (core::NodeId i = 0; i < 2; ++i) {
+      faults.push_back(std::make_unique<cluster::FaultInjector>(i + 1));
+      buses.push_back(std::make_unique<VirtualBus>(
+          &engine, &buses, 2, i, /*propagation_delay=*/0.001,
+          /*probe_latency=*/0.0, faults[i].get(), /*alive=*/nullptr, &traffic,
+          go));
+      core::ManagerOptions mo;
+      mo.limits = {100, 0};
+      core::RuleDecision d;
+      d.cacheable = true;
+      mo.rules.add_rule("/cgi-bin/*", d);
+      managers.push_back(std::make_unique<core::CacheManager>(
+          i, 2, std::move(mo), engine.clock(), buses[i].get()));
+      buses[i]->attach(managers[i].get());
+    }
+    buses[1]->protocol().set_tracer(
+        [this](const std::string& line) { node1_log.push_back(line); });
+  }
+
+  void cache(core::NodeId node, const std::string& target) {
+    http::Uri uri;
+    ASSERT_TRUE(http::parse_uri(target, &uri));
+    auto lookup = managers[node]->lookup(http::Method::kGet, uri, Deadline());
+    cgi::CgiOutput out;
+    out.success = true;
+    out.body = "data";
+    managers[node]->complete(http::Method::kGet, uri, lookup.rule, out, 1.0);
+  }
+
+  std::uint64_t failures(core::NodeId node, core::NodeId peer) {
+    for (const auto& h : buses[node]->protocol().peer_health()) {
+      if (h.id == peer) return h.total_failures;
+    }
+    return 0;
+  }
+
+  SimEngine engine;
+  VirtualTraffic traffic;
+  std::vector<std::unique_ptr<cluster::FaultInjector>> faults;
+  BusList buses;
+  ManagerList managers;
+  std::vector<std::string> node1_log;
+};
+
+TEST(VirtualShellTest, GreetingPrecedesTheFirstFrameAfterAFailedLeg) {
+  cluster::GroupOptions go;
+  go.failure_threshold = 1;
+  bool insert_first = false;  // outlives the tracer that sets it
+  VirtualPair pair(go);
+  pair.cache(0, "/cgi-bin/a");  // opens the connection, greeted
+  pair.engine.run();
+  // Node 1 writes node 0 off, so the next HELLO from it is the recovery
+  // signal and shows up in node 1's log.
+  (void)pair.buses[1]->protocol().on_send_result(0, false);
+  ASSERT_EQ(pair.buses[1]->protocol().peer_state(0), cluster::PeerState::kDead);
+
+  cluster::FaultRule torn;
+  torn.peer = 1;
+  torn.type = cluster::MsgType::kInsert;
+  torn.kind = cluster::FaultKind::kTruncate;
+  torn.count = 1;
+  pair.faults[0]->add_rule(torn);
+  pair.buses[1]->protocol().set_tracer([&](const std::string& line) {
+    pair.node1_log.push_back(line);
+    for (const auto& meta : pair.managers[1]->directory().metas_at(0)) {
+      insert_first = insert_first || meta.key == "GET /cgi-bin/b";
+    }
+  });
+  pair.node1_log.clear();
+  pair.cache(0, "/cgi-bin/b");  // torn; the retry reconnects
+  pair.engine.run();
+
+  // The torn frame, then the reconnect's greeting ahead of the retry.
+  ASSERT_EQ(pair.node1_log.size(), 2u);
+  EXPECT_NE(pair.node1_log[0].find("rejected by the decoder"),
+            std::string::npos);
+  EXPECT_EQ(pair.node1_log[1], "node 1: peer 0 recovered; requesting resync");
+  EXPECT_FALSE(insert_first) << "the insert beat the greeting";
+  EXPECT_TRUE(
+      pair.managers[1]->directory().lookup("GET /cgi-bin/b").has_value());
+  EXPECT_EQ(pair.buses[0]->protocol().stats().send_retries, 1u);
+}
+
+TEST(VirtualShellTest, TruncatedBatchIsRetriedAfterBackoffAndDeliveredOnce) {
+  VirtualPair pair;  // batching on: 64 updates, 2 ms linger
+  cluster::FaultRule torn;
+  torn.peer = 1;
+  torn.type = cluster::MsgType::kBatch;
+  torn.kind = cluster::FaultKind::kTruncate;
+  torn.count = 1;
+  pair.faults[0]->add_rule(torn);
+  constexpr int kUpdates = 5;
+  for (int i = 0; i < kUpdates; ++i) {
+    pair.cache(0, "/cgi-bin/k" + std::to_string(i));
+  }
+  // The run leaves after its 2 ms linger and is torn; the retry waits out
+  // a backoff of at least backoff_base_ms / 2 = 5 ms.
+  pair.engine.run_until(0.0065);
+  EXPECT_EQ(pair.managers[1]->directory().size(), 0u);
+  pair.engine.run();
+
+  EXPECT_EQ(pair.managers[1]->directory().size(),
+            static_cast<std::size_t>(kUpdates));
+  const auto& sender = pair.buses[0]->protocol().stats();
+  EXPECT_EQ(sender.send_retries, 1u);
+  EXPECT_EQ(sender.batched_broadcasts, static_cast<std::uint64_t>(kUpdates));
+  EXPECT_EQ(sender.send_failures, 0u);
+  // Two greetings (the first connection's and the reconnect's), then the
+  // batch's updates once each.
+  EXPECT_EQ(pair.buses[1]->protocol().stats().updates_received,
+            static_cast<std::uint64_t>(kUpdates) + 2);
+  EXPECT_EQ(pair.failures(0, 1), 0u) << "a retried frame counts once";
+}
+
+TEST(VirtualShellTest, FaultOnAnExchangesResponseLegIsABreakerFailure) {
+  VirtualPair pair;
+  pair.cache(1, "/cgi-bin/r");
+  pair.engine.run();
+  cluster::FaultRule lost;
+  lost.peer = 0;
+  lost.type = cluster::MsgType::kFetchResp;
+  lost.kind = cluster::FaultKind::kDrop;
+  pair.faults[1]->add_rule(lost);  // the responder's injector
+  const auto fetched = pair.buses[0]->fetch_remote(1, "GET /cgi-bin/r");
+  EXPECT_FALSE(fetched.is_ok());
+  EXPECT_EQ(pair.failures(0, 1), 1u);
+  EXPECT_EQ(pair.buses[1]->protocol().stats().fetches_served, 1u);
+}
+
+TEST(VirtualShellTest, LostFetchRequestIsABreakerFailure) {
+  VirtualPair pair;
+  pair.cache(1, "/cgi-bin/q");
+  pair.engine.run();
+  cluster::FaultRule lost;
+  lost.peer = 1;
+  lost.type = cluster::MsgType::kFetchReq;
+  lost.kind = cluster::FaultKind::kDrop;
+  pair.faults[0]->add_rule(lost);
+  const auto fetched = pair.buses[0]->fetch_remote(1, "GET /cgi-bin/q");
+  EXPECT_FALSE(fetched.is_ok());
+  EXPECT_EQ(pair.failures(0, 1), 1u);
+  EXPECT_EQ(pair.buses[1]->protocol().stats().fetches_served, 0u);
 }
 
 // ---- fault injection under virtual time ----

@@ -16,7 +16,13 @@
 //    (ChaosSimTest.CrashIsFoundByTheBreakerAndRejoinWaitsForAProbe).
 // When query mode was deleted its three lines went with it, and so did the
 // ` pq=… pqh=…` fields, which read 0 on every line that remains; nothing
-// else in those lines moved.
+// else in those lines moved. When the send policy moved into the protocol,
+// the two kDrop lines and the random chaos line were re-recorded: a
+// greeting opens every virtual connection and draws from the injector, an
+// exchange's response leg draws too, a lost leg is a breaker failure (so
+// the simulated cluster now ticks the probes that revive a peer), and a
+// failed frame is retried with backoff before it counts once. The clean and
+// churn lines, which inject no fault, did not move.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -127,10 +133,10 @@ const SimGolden kSimGoldens[] = {
      " fh=0 fm=8 fb=0 rdl=0 rdh=0"
      " keys=891b4ffb8595d014 t=382.42201106218465"},
     {DirectoryMode::kReplicated, Variant::kDrop,
-     "upd=2070/223698 qry=0/0 trans=0/0 hand=0/0/0"
-     " look=617 lh=118 rh=74 miss=425 ins=425"
-     " fh=4 fm=47 fb=27 rdl=0 rdh=0"
-     " keys=94ffe5d6c21818be t=425.0908015729994"},
+     "upd=2106/227253 qry=0/0 trans=0/0 hand=0/0/0"
+     " look=617 lh=137 rh=49 miss=431 ins=431"
+     " fh=4 fm=61 fb=33 rdl=0 rdh=0"
+     " keys=974df709e76caff3 t=436.9334219185788"},
     {DirectoryMode::kReplicated, Variant::kChurn,
      "upd=1591/168321 qry=0/0 trans=206/27696 hand=40/453070/39"
      " look=617 lh=104 rh=111 miss=402 ins=439"
@@ -142,10 +148,10 @@ const SimGolden kSimGoldens[] = {
      " fh=0 fm=0 fb=0 rdl=408 rdh=98"
      " keys=2267cabfdbf3982e t=377.77939010812349"},
     {DirectoryMode::kPartitioned, Variant::kDrop,
-     "upd=558/61283 qry=690/32998 trans=0/0 hand=0/0/0"
-     " look=617 lh=121 rh=61 miss=435 ins=432"
-     " fh=2 fm=12 fb=104 rdl=385 rdh=61 co=3"
-     " keys=18cacb6bc6e41437 t=417.18663758654458"},
+     "upd=560/61547 qry=657/29948 trans=0/0 hand=0/0/0"
+     " look=617 lh=141 rh=40 miss=436 ins=436"
+     " fh=2 fm=14 fb=165 rdl=369 rdh=40"
+     " keys=15410540ba1a4977 t=433.44204591877707"},
     {DirectoryMode::kPartitioned, Variant::kChurn,
      "upd=454/49306 qry=770/35901 trans=104/14085 hand=40/470477/40"
      " look=617 lh=91 rh=128 miss=398 ins=437"
@@ -167,7 +173,7 @@ TEST(SubstrateGoldenTest, ClusterSimOutputsArePinned) {
 TEST(SubstrateGoldenTest, ChaosRandomScheduleIsPinned) {
   EXPECT_EQ(summarize(chaos::run_sim_chaos(
                 chaos::make_random_schedule(42, 3, 6.0))),
-            "log=921953c7d434bcb5 repair=55/2152 hand=0/0/0 gaps=2 pass");
+            "log=73deb7567784e1a1 repair=54/2130 hand=0/0/0 gaps=2 pass");
 }
 
 TEST(SubstrateGoldenTest, ChaosChurnScheduleIsPinned) {
