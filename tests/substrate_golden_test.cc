@@ -168,6 +168,55 @@ TEST(SubstrateGoldenTest, ClusterSimOutputsArePinned) {
   }
 }
 
+// ---- the other four replacement policies ----
+// Every line above runs LRU. These pin the eviction sequences of LFU, FIFO,
+// SIZE and GreedyDual-Size: the same trace on 20-entry caches, small enough
+// that every node thrashes and the resident keys are the policy's choice.
+
+std::string run_policy_sim(core::PolicyKind policy) {
+  sim::SimConfig config;
+  config.nodes = 4;
+  config.client_streams = 8;
+  config.limits = {20, 0};
+  config.policy = policy;
+  return summarize(sim::run_cluster_sim(adl_trace(), config));
+}
+
+struct PolicyGolden {
+  core::PolicyKind policy;
+  const char* expected;
+};
+
+const PolicyGolden kPolicyGoldens[] = {
+    {core::PolicyKind::kLfu,
+     "upd=2442/252603 qry=0/0 trans=0/0 hand=0/0/0"
+     " look=617 lh=71 rh=99 miss=447 ins=447"
+     " fh=0 fm=7 fb=0 rdl=0 rdh=0"
+     " keys=1fcb3fad24ae1867 t=433.94661417070597"},
+    {core::PolicyKind::kFifo,
+     "upd=2436/251868 qry=0/0 trans=0/0 hand=0/0/0"
+     " look=617 lh=58 rh=113 miss=446 ins=446"
+     " fh=0 fm=16 fb=0 rdl=0 rdh=0"
+     " keys=28a35568e0915335 t=431.21889564230105"},
+    {core::PolicyKind::kSize,
+     "upd=2298/238242 qry=0/0 trans=0/0 hand=0/0/0"
+     " look=617 lh=79 rh=115 miss=423 ins=423"
+     " fh=0 fm=9 fb=0 rdl=0 rdh=0"
+     " keys=ce562c721561c069 t=415.03370711921053"},
+    {core::PolicyKind::kGreedyDualSize,
+     "upd=2196/228177 qry=0/0 trans=0/0 hand=0/0/0"
+     " look=617 lh=83 rh=128 miss=406 ins=406"
+     " fh=0 fm=8 fb=0 rdl=0 rdh=0"
+     " keys=50dc395ff8ad1a81 t=266.50661619923807"},
+};
+
+TEST(SubstrateGoldenTest, NonLruPolicyOutputsArePinned) {
+  for (const auto& g : kPolicyGoldens) {
+    SCOPED_TRACE(core::policy_name(g.policy));
+    EXPECT_EQ(run_policy_sim(g.policy), g.expected);
+  }
+}
+
 // ---- chaos harness ----
 
 TEST(SubstrateGoldenTest, ChaosRandomScheduleIsPinned) {
