@@ -1,10 +1,6 @@
 #include "core/replacement.h"
 
 #include <algorithm>
-#include <list>
-#include <map>
-#include <set>
-#include <unordered_map>
 
 #include "common/strings.h"
 
@@ -34,169 +30,22 @@ Result<PolicyKind> policy_from_name(std::string_view name) {
                 "unknown replacement policy: " + std::string(name));
 }
 
-namespace {
-
-/// LRU / FIFO share a recency list; FIFO simply ignores accesses.
-class ListPolicy final : public ReplacementPolicy {
- public:
-  explicit ListPolicy(bool move_on_access, PolicyKind kind)
-      : move_on_access_(move_on_access), kind_(kind) {}
-
-  void on_insert(const EntryMeta& meta) override {
-    on_erase(meta.key);
-    order_.push_back(meta.key);
-    index_[meta.key] = std::prev(order_.end());
-  }
-
-  void on_access(const EntryMeta& meta) override {
-    if (!move_on_access_) return;
-    const auto it = index_.find(meta.key);
-    if (it == index_.end()) return;
-    order_.splice(order_.end(), order_, it->second);
-    it->second = std::prev(order_.end());
-  }
-
-  void on_erase(const std::string& key) override {
-    const auto it = index_.find(key);
-    if (it == index_.end()) return;
-    order_.erase(it->second);
-    index_.erase(it);
-  }
-
-  std::optional<std::string> victim() const override {
-    if (order_.empty()) return std::nullopt;
-    return order_.front();
-  }
-
-  PolicyKind kind() const override { return kind_; }
-  std::size_t size() const override { return index_.size(); }
-
- private:
-  bool move_on_access_;
-  PolicyKind kind_;
-  std::list<std::string> order_;
-  std::unordered_map<std::string, std::list<std::string>::iterator> index_;
-};
-
-/// Generic "evict minimum score" policy backed by an ordered set.
-/// Ties broken by key for determinism.
-class ScoredPolicy : public ReplacementPolicy {
- public:
-  void on_insert(const EntryMeta& meta) override {
-    on_erase(meta.key);
-    const double score = initial_score(meta);
-    scores_.emplace(score, meta.key);
-    index_[meta.key] = score;
-  }
-
-  void on_access(const EntryMeta& meta) override {
-    const auto it = index_.find(meta.key);
-    if (it == index_.end()) return;
-    const double updated = access_score(meta, it->second);
-    if (updated == it->second) return;
-    scores_.erase({it->second, meta.key});
-    scores_.emplace(updated, meta.key);
-    it->second = updated;
-  }
-
-  void on_erase(const std::string& key) override {
-    const auto it = index_.find(key);
-    if (it == index_.end()) return;
-    scores_.erase({it->second, key});
-    index_.erase(it);
-  }
-
-  std::optional<std::string> victim() const override {
-    if (scores_.empty()) return std::nullopt;
-    return scores_.begin()->second;
-  }
-
-  std::size_t size() const override { return index_.size(); }
-
- protected:
-  /// Score assigned at insert; the minimum is evicted first.
-  virtual double initial_score(const EntryMeta& meta) const = 0;
-  /// Score after an access (default: unchanged).
-  virtual double access_score(const EntryMeta& meta, double current) const {
-    (void)meta;
-    return current;
-  }
-
-  std::set<std::pair<double, std::string>> scores_;
-  std::unordered_map<std::string, double> index_;
-};
-
-/// LFU: score = access count (evict least frequently used).
-class LfuPolicy final : public ScoredPolicy {
- public:
-  PolicyKind kind() const override { return PolicyKind::kLfu; }
-
- protected:
-  double initial_score(const EntryMeta& meta) const override {
-    return static_cast<double>(meta.access_count);
-  }
-  double access_score(const EntryMeta& meta, double) const override {
-    return static_cast<double>(meta.access_count);
-  }
-};
-
-/// SIZE: score = -size (evict the largest entry first).
-class SizePolicy final : public ScoredPolicy {
- public:
-  PolicyKind kind() const override { return PolicyKind::kSize; }
-
- protected:
-  double initial_score(const EntryMeta& meta) const override {
-    return -static_cast<double>(meta.size_bytes);
-  }
-};
-
-/// GreedyDual-Size with cost = execution time. H = L + cost/size; L advances
-/// to the H of each victim, ageing entries without per-access updates.
-class GdsPolicy final : public ScoredPolicy {
- public:
-  PolicyKind kind() const override { return PolicyKind::kGreedyDualSize; }
-
-  std::optional<std::string> victim() const override {
-    if (scores_.empty()) return std::nullopt;
-    inflation_ = scores_.begin()->first;  // L <- H(victim)
-    return scores_.begin()->second;
-  }
-
- protected:
-  double initial_score(const EntryMeta& meta) const override {
-    return inflation_ + value(meta);
-  }
-  double access_score(const EntryMeta& meta, double) const override {
-    return inflation_ + value(meta);
-  }
-
- private:
-  static double value(const EntryMeta& meta) {
-    const double size = std::max<double>(1.0, static_cast<double>(meta.size_bytes));
-    // Saved time per byte of cache consumed.
-    return std::max(1e-9, meta.cost_seconds) / size;
-  }
-
-  mutable double inflation_ = 0.0;  // L in the GreedyDual formulation
-};
-
-}  // namespace
-
-std::unique_ptr<ReplacementPolicy> make_policy(PolicyKind kind) {
+double rank(PolicyKind kind, const EntryMeta& meta, const RankClock& clock,
+            std::optional<double> current) {
   switch (kind) {
-    case PolicyKind::kLru:
-      return std::make_unique<ListPolicy>(/*move_on_access=*/true, kind);
-    case PolicyKind::kFifo:
-      return std::make_unique<ListPolicy>(/*move_on_access=*/false, kind);
-    case PolicyKind::kLfu:
-      return std::make_unique<LfuPolicy>();
-    case PolicyKind::kSize:
-      return std::make_unique<SizePolicy>();
-    case PolicyKind::kGreedyDualSize:
-      return std::make_unique<GdsPolicy>();
+    case PolicyKind::kLru: return clock.tick;
+    case PolicyKind::kFifo: return current.value_or(clock.tick);
+    case PolicyKind::kLfu: return static_cast<double>(meta.access_count);
+    case PolicyKind::kSize: return -static_cast<double>(meta.size_bytes);
+    case PolicyKind::kGreedyDualSize: {
+      // Saved time per byte of cache consumed, aged by L: an entry not hit
+      // since L passed its rank is the next to go.
+      const double size =
+          std::max<double>(1.0, static_cast<double>(meta.size_bytes));
+      return clock.inflation + std::max(1e-9, meta.cost_seconds) / size;
+    }
   }
-  return nullptr;
+  return clock.tick;
 }
 
 }  // namespace swala::core

@@ -10,13 +10,14 @@
 //   GDS   — GreedyDual-Size with cost = CGI execution time (Cao & Irani [5],
 //           cited by the paper), the "more advanced" method §3 alludes to
 //
-// Policies only manage *ordering*; capacity enforcement lives in CacheStore.
-// Implementations are not thread-safe; CacheStore serializes access.
+// A policy is nothing but a rank function over those attributes. CacheStore
+// keeps every entry in one (rank, key) index and evicts its first element:
+// the least rank goes first, ties broken by key. The store owns the index,
+// the capacity checks and the two store-wide inputs in RankClock.
 #pragma once
 
-#include <memory>
 #include <optional>
-#include <string>
+#include <string_view>
 
 #include "common/status.h"
 #include "core/entry.h"
@@ -30,23 +31,23 @@ const char* policy_name(PolicyKind kind);
 /// Parses "lru", "lfu", "fifo", "size", "gds"/"greedy-dual-size".
 Result<PolicyKind> policy_from_name(std::string_view name);
 
-/// Eviction-ordering strategy. The store notifies the policy of every
-/// insert/access/erase; `victim()` names the entry to evict next.
-class ReplacementPolicy {
- public:
-  virtual ~ReplacementPolicy() = default;
-
-  virtual void on_insert(const EntryMeta& meta) = 0;
-  virtual void on_access(const EntryMeta& meta) = 0;
-  virtual void on_erase(const std::string& key) = 0;
-
-  /// Key of the entry this policy would evict now, or nullopt when empty.
-  virtual std::optional<std::string> victim() const = 0;
-
-  virtual PolicyKind kind() const = 0;
-  virtual std::size_t size() const = 0;
+/// The store-wide inputs of a rank.
+struct RankClock {
+  /// Bumped by the store before every insert and hit, so no two events
+  /// share a tick.
+  double tick = 0.0;
+  /// GreedyDual-Size's L: the rank of the last evicted entry.
+  double inflation = 0.0;
 };
 
-std::unique_ptr<ReplacementPolicy> make_policy(PolicyKind kind);
+/// The rank `meta` takes on insert, or on a hit when `current` (its rank
+/// before the hit) is given:
+///   LRU   the tick of its last insert or hit
+///   FIFO  the tick of its insert
+///   LFU   access_count
+///   SIZE  -size_bytes
+///   GDS   L + max(1e-9, cost_seconds) / max(1, size_bytes)
+double rank(PolicyKind kind, const EntryMeta& meta, const RankClock& clock,
+            std::optional<double> current = std::nullopt);
 
 }  // namespace swala::core

@@ -31,7 +31,7 @@ CacheStore::CacheStore(StoreLimits limits, PolicyKind policy,
                        std::unique_ptr<StorageBackend> backend,
                        const Clock* clock, NodeId owner)
     : limits_(limits),
-      policy_(make_policy(policy)),
+      policy_(policy),
       backend_(std::move(backend)),
       clock_(clock),
       owner_(owner) {}
@@ -82,12 +82,12 @@ Result<EntryMeta> CacheStore::insert(const CacheKey& key, std::string_view data,
     slot.meta.http_status = http_status;
     slot.meta.version = ++version_counter_;
 
-    policy_->on_insert(slot.meta);
     bytes_used_ += slot.meta.size_bytes;
     ++stats_.inserts;
     meta = slot.meta;
     auto& installed = entries_[key.text];
     installed = std::move(slot);
+    rank_locked(&installed, /*hit=*/false);
     // The data just came through this thread verified; keep it hot.
     if (hot_blob) hot_admit_locked(key.text, &installed, std::move(hot_blob));
   }
@@ -108,11 +108,29 @@ void CacheStore::make_room(std::uint64_t incoming_bytes,
     }
     return false;
   };
-  while (over() && !entries_.empty()) {
-    const auto victim = policy_->victim();
-    if (!victim) break;  // policy out of sync; bail rather than spin
-    remove_locked(*victim, /*count_eviction=*/true, evicted, doomed);
+  while (over() && !eviction_.empty()) {
+    // GreedyDual-Size's L rises to the rank of each entry it evicts.
+    rank_clock_.inflation = eviction_.begin()->first;
+    const std::string victim = eviction_.begin()->second;
+    remove_locked(victim, /*count_eviction=*/true, evicted, doomed);
   }
+}
+
+void CacheStore::rank_locked(Slot* slot, bool hit) {
+  rank_clock_.tick += 1;
+  if (!hit) {
+    slot->rank_it = eviction_.emplace_hint(
+        eviction_.end(), rank(policy_, slot->meta, rank_clock_),
+        slot->meta.key);
+    return;
+  }
+  const double current = slot->rank_it->first;
+  const double updated = rank(policy_, slot->meta, rank_clock_, current);
+  if (updated == current) return;
+  auto node = eviction_.extract(slot->rank_it);
+  node.value().first = updated;
+  // An LRU hit ranks last, where the hint makes the insert O(1).
+  slot->rank_it = eviction_.insert(eviction_.end(), std::move(node));
 }
 
 void CacheStore::remove_locked(const std::string& key, bool count_eviction,
@@ -126,7 +144,7 @@ void CacheStore::remove_locked(const std::string& key, bool count_eviction,
     it->second.pin->doomed.store(true, std::memory_order_release);
     doomed->push_back(std::move(it->second.pin));
   }
-  policy_->on_erase(key);
+  eviction_.erase(it->second.rank_it);
   if (count_eviction) ++stats_.evictions;
   if (out) out->push_back(std::move(it->second.meta));
   entries_.erase(it);
@@ -147,7 +165,7 @@ std::optional<CachedResult> CacheStore::fetch(std::string_view key) {
     if (slot.hot) {
       slot.meta.last_access = clock_->now();
       ++slot.meta.access_count;
-      policy_->on_access(slot.meta);
+      rank_locked(&slot, /*hit=*/true);
       ++stats_.hits;
       ++stats_.hot_hits;
       hot_touch_locked(&slot);
@@ -190,7 +208,7 @@ std::optional<CachedResult> CacheStore::fetch(std::string_view key) {
       Slot& slot = it->second;
       slot.meta.last_access = clock_->now();
       ++slot.meta.access_count;
-      policy_->on_access(slot.meta);
+      rank_locked(&slot, /*hit=*/true);
       meta = slot.meta;
       if (promoted && !slot.hot) {
         hot_admit_locked(it->first, &slot, std::move(promoted));
@@ -343,20 +361,23 @@ Result<std::size_t> CacheStore::load_manifest(const std::string& path) {
   std::lock_guard<std::mutex> lock(mutex_);
   const TimeNs now = clock_->now();
   std::size_t restored = 0;
+  // Restored keys by their last use (LRU) or insert time (FIFO; the other
+  // policies' ranks ignore the order).
+  std::vector<std::pair<TimeNs, std::string>> order;
   char line[4096];
   // Header line: refuse manifests written by a newer format. Everything on
   // disk stays untouched (the newer version may still understand it), so a
   // rollback never silently destroys a newer deployment's cache.
-  int version = 0;
+  int format_version = 0;
   if (std::fgets(line, sizeof(line), file) == nullptr ||
-      std::sscanf(line, "swala-manifest %d", &version) != 1) {
+      std::sscanf(line, "swala-manifest %d", &format_version) != 1) {
     std::fclose(file);
     return Status(StatusCode::kCorrupt, "manifest missing header: " + path);
   }
-  if (version > kManifestFormatVersion) {
+  if (format_version > kManifestFormatVersion) {
     std::fclose(file);
     return Status(StatusCode::kUnavailable,
-                  "manifest format v" + std::to_string(version) +
+                  "manifest format v" + std::to_string(format_version) +
                       " is newer than supported v" +
                       std::to_string(kManifestFormatVersion));
   }
@@ -400,15 +421,23 @@ Result<std::size_t> CacheStore::load_manifest(const std::string& path) {
     slot.meta.http_status = http_status;
     slot.meta.version = version;
 
-    policy_->on_insert(slot.meta);
     bytes_used_ += size;
     // Future versions must stay above every restored one so post-restart
     // re-inserts still win against stale erase broadcasts.
     version_counter_ = std::max(version_counter_, slot.meta.version);
+    order.emplace_back(policy_ == PolicyKind::kLru ? slot.meta.last_access
+                                                   : slot.meta.insert_time,
+                       key);
     entries_[key] = std::move(slot);
     ++restored;
   }
   std::fclose(file);
+  // Rank in the saved order of use, not in the manifest's line order (which
+  // is hash order), so a restarted store evicts what it would have evicted.
+  std::sort(order.begin(), order.end());
+  for (const auto& [time, key] : order) {
+    rank_locked(&entries_.at(key), /*hit=*/false);
+  }
   return restored;
 }
 
@@ -434,8 +463,6 @@ StoreStats CacheStore::stats() const {
   s.pinned_entries = active_pins_.load(std::memory_order_relaxed);
   return s;
 }
-
-PolicyKind CacheStore::policy() const { return policy_->kind(); }
 
 // ---- hot-blob cache ----
 

@@ -1,5 +1,8 @@
 // The local cache of one Swala node: entry metadata + stored result data +
-// replacement policy + capacity enforcement. Thread-safe. The mutex guards
+// replacement policy + capacity enforcement. The policy is one index: every
+// entry sits in an ordered set of (rank, key) pairs, ranked by the policy's
+// rank function (core/replacement.h) on insert and on each hit, and the
+// store evicts the set's first element. Thread-safe. The mutex guards
 // metadata only — all blob I/O (backend put/get, manifest writes, unlinks)
 // happens outside it. Readers pin an entry's storage with a refcount before
 // reading, so eviction and purge can never unlink a file a concurrent fetch
@@ -14,6 +17,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -148,7 +152,7 @@ class CacheStore {
   std::uint64_t bytes_used() const;
   StoreStats stats() const;
   const StoreLimits& limits() const { return limits_; }
-  PolicyKind policy() const;
+  PolicyKind policy() const { return policy_; }
 
  private:
   /// Refcounted handle to one entry's backing storage. Fetch copies the
@@ -171,9 +175,14 @@ class CacheStore {
   };
   using Pin = std::shared_ptr<PinnedStorage>;
 
+  /// The eviction order: (rank, key), least rank first, ties by key.
+  using EvictionIndex = std::set<std::pair<double, std::string>>;
+
   struct Slot {
     EntryMeta meta;
     Pin pin;
+    /// This entry's node in eviction_; its `first` is the entry's rank.
+    EvictionIndex::iterator rank_it;
     /// Verified blob held in memory; null when not hot-resident.
     std::shared_ptr<const std::string> hot;
     /// Position in hot_lru_; valid only while `hot` is set.
@@ -185,6 +194,10 @@ class CacheStore {
   /// mutex. Caller holds mutex_.
   void make_room(std::uint64_t incoming_bytes, std::vector<EntryMeta>* evicted,
                  std::vector<Pin>* doomed);
+
+  /// Ranks `slot` in eviction_ on insert, or re-ranks it on a hit. A
+  /// re-rank moves the set node itself: no allocation. Caller holds mutex_.
+  void rank_locked(Slot* slot, bool hit);
 
   /// Caller holds mutex_. The removed entry's pin is marked doomed and
   /// moved into `doomed`; the caller destroys it after unlocking so the
@@ -199,7 +212,7 @@ class CacheStore {
   void hot_drop_locked(Slot* slot);
 
   StoreLimits limits_;
-  std::unique_ptr<ReplacementPolicy> policy_;
+  PolicyKind policy_;
   /// Shared so outstanding pins keep the backend alive even if a reader
   /// races store destruction.
   std::shared_ptr<StorageBackend> backend_;
@@ -210,6 +223,9 @@ class CacheStore {
   std::unordered_map<std::string, Slot> entries_;
   std::uint64_t bytes_used_ = 0;
   StoreStats stats_;
+  /// Every resident entry, in the order the store evicts them.
+  EvictionIndex eviction_;
+  RankClock rank_clock_;
   /// Hot-blob LRU: front = most recently used. Only keys whose slot holds a
   /// hot blob appear here.
   std::list<std::string> hot_lru_;

@@ -371,8 +371,11 @@ TEST(ClusterFailureTest, WrongVersionHelloDropsTheConnection) {
   // half-closes it, and returns once node 0 has closed its end. The info
   // channel carries nothing back, so that close means the reader is done:
   // it either rejected the stream or applied every frame up to our EOF.
+  // A rejecting node 0 may reset the connection before our own write or
+  // half-close lands; only when `rejected` is that write-side error the
+  // expected outcome.
   const auto greet_then_insert = [&](const std::string& hello,
-                                     const std::string& key) {
+                                     const std::string& key, bool rejected) {
     core::EntryMeta meta;
     meta.key = key;
     meta.owner = 1;
@@ -382,10 +385,13 @@ TEST(ClusterFailureTest, WrongVersionHelloDropsTheConnection) {
         {"127.0.0.1", cluster.group(0).info_port()}, 1000);
     ASSERT_TRUE(conn.is_ok());
     net::TcpStream& stream = conn.value();
-    ASSERT_TRUE(
-        stream.write_all(hello + encode_message(Message::insert(1, meta)))
-            .is_ok());
-    ASSERT_TRUE(stream.shutdown_write().is_ok());
+    Status sent =
+        stream.write_all(hello + encode_message(Message::insert(1, meta)));
+    if (sent.is_ok()) sent = stream.shutdown_write();
+    if (!sent.is_ok()) {
+      EXPECT_TRUE(rejected) << sent.to_string();
+      return;
+    }
     ASSERT_TRUE(stream.set_recv_timeout(5000).is_ok());
     char byte = 0;
     const auto got = stream.read_some(&byte, 1);
@@ -397,12 +403,13 @@ TEST(ClusterFailureTest, WrongVersionHelloDropsTheConnection) {
 
   std::string wrong = encode_message(Message::hello(1, {}, 0));
   wrong[4 + 5] = static_cast<char>(kProtocolVersion + 1);  // the version byte
-  greet_then_insert(wrong, "GET /cgi-bin/after-wrong-version");
+  greet_then_insert(wrong, "GET /cgi-bin/after-wrong-version",
+                    /*rejected=*/true);
   EXPECT_FALSE(directory.lookup("GET /cgi-bin/after-wrong-version"));
 
   // Control: the same INSERT behind a current HELLO is applied.
   greet_then_insert(encode_message(Message::hello(1, {}, 0)),
-                    "GET /cgi-bin/after-good-hello");
+                    "GET /cgi-bin/after-good-hello", /*rejected=*/false);
   EXPECT_TRUE(directory.lookup("GET /cgi-bin/after-good-hello"));
 
   // The real peer link is untouched: later updates still arrive.

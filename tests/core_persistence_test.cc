@@ -354,6 +354,56 @@ TEST_F(PersistenceTest, NewInsertsDoNotCollideWithAdoptedIds) {
   EXPECT_EQ(store->fetch(key("/new").text)->data, "new-data");
 }
 
+// A manifest lists entries in hash order. A restored store must still evict
+// by the saved recency (LRU) and insert age (FIFO), not by line order.
+TEST_F(PersistenceTest, RestartKeepsTheEvictionOrder) {
+  for (const PolicyKind policy : {PolicyKind::kLru, PolicyKind::kFifo}) {
+    SCOPED_TRACE(policy_name(policy));
+    std::filesystem::remove_all(kDir);
+    const StoreLimits full{5, 0};
+    ManualClock clock(from_seconds(100.0));
+    std::vector<EntryMeta> evicted;
+    const auto put = [&](CacheStore& store, const std::string& text) {
+      clock.advance(from_seconds(1.0));
+      ASSERT_TRUE(store.insert(CacheKey{text}, "data", 1.0, 0, "t", 200,
+                               &evicted)
+                      .is_ok());
+    };
+    std::string victim;
+    {
+      CacheStore store(full, policy, std::make_unique<DiskBackend>(kDir),
+                       &clock, /*owner=*/0);
+      for (const char* target : {"/a", "/b", "/c", "/d", "/e"}) {
+        put(store, key(target).text);
+      }
+      // Re-inserting a key both uses it (LRU) and renews its age (FIFO),
+      // so the one key not re-inserted is the victim under either policy.
+      const auto keys = store.keys();
+      victim = keys.back();
+      for (const auto& k : keys) {
+        if (k != victim) put(store, k);
+      }
+      ASSERT_TRUE(store.save_manifest(kManifest).is_ok());
+    }
+    std::ifstream manifest(kManifest);
+    std::string line;
+    ASSERT_TRUE(std::getline(manifest, line));  // header
+    ASSERT_TRUE(std::getline(manifest, line));
+    // The key is everything after the line's ten space-separated fields.
+    std::size_t at = 0;
+    for (int field = 0; field < 10; ++field) at = line.find(' ', at) + 1;
+    ASSERT_NE(line.substr(at), victim) << "victim must not lead the manifest";
+
+    CacheStore store(full, policy, std::make_unique<DiskBackend>(kDir),
+                     &clock, /*owner=*/0);
+    ASSERT_EQ(store.load_manifest(kManifest).value(), 5u);
+    evicted.clear();
+    put(store, key("/f").text);
+    ASSERT_EQ(evicted.size(), 1u);
+    EXPECT_EQ(evicted[0].key, victim);
+  }
+}
+
 TEST_F(PersistenceTest, ManagerRestoreRepopulatesDirectoryAndBroadcasts) {
   ManualClock clock(from_seconds(100.0));
   ManagerOptions mo;

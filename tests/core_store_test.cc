@@ -1,11 +1,13 @@
 // Tests for CacheStore: insert/fetch/evict, capacity limits (entries and
 // bytes), TTL expiry with a manual clock, the memory store's single copy of
-// each body, the disk backend, and statistics.
+// each body, the five replacement policies' eviction order and the
+// invariants every policy keeps, the disk backend, and statistics.
 #include <gtest/gtest.h>
 #include <malloc.h>
 
 #include <atomic>
 #include <filesystem>
+#include <set>
 #include <thread>
 
 #include "common/clock.h"
@@ -323,6 +325,209 @@ TEST_F(StoreTest, MemoryStoreStormServesIntactBodies) {
   EXPECT_EQ(stats.pinned_entries, 0u);
   store.clear();
   EXPECT_EQ(store.stats().hot_bytes, 0u);
+}
+
+// ---- replacement policies ----
+// A policy's order shows in which entries an insert into a full store
+// evicts. Keys are the bare names, "GET <name>".
+
+using Names = std::vector<std::string>;
+
+class PolicyStore {
+ public:
+  explicit PolicyStore(PolicyKind kind, StoreLimits limits = {3, 0})
+      : store_(limits, kind, std::make_unique<MemoryBackend>(), &clock_,
+               /*owner=*/0) {}
+
+  /// Inserts `name` with a body of `size` bytes; returns what it evicted.
+  Names insert(const std::string& name, std::uint64_t size = 100,
+               double cost = 1.0) {
+    clock_.advance(from_seconds(1.0));
+    std::vector<EntryMeta> evicted;
+    EXPECT_TRUE(store_
+                    .insert(CacheKey::make("GET", name), std::string(size, 'x'),
+                            cost, 0, "text/html", 200, &evicted)
+                    .is_ok());
+    Names names;
+    for (const auto& meta : evicted) names.push_back(meta.key.substr(4));
+    return names;
+  }
+
+  void hit(const std::string& name, int times = 1) {
+    for (int i = 0; i < times; ++i) {
+      clock_.advance(from_seconds(1.0));
+      EXPECT_TRUE(store_.fetch("GET " + name).has_value()) << name;
+    }
+  }
+
+  CacheStore& store() { return store_; }
+
+ private:
+  ManualClock clock_{from_seconds(1000.0)};
+  CacheStore store_;
+};
+
+TEST(LruPolicyTest, EvictsLeastRecentlyUsed) {
+  PolicyStore s(PolicyKind::kLru);
+  s.insert("a");
+  s.insert("b");
+  s.insert("c");
+  s.hit("a");
+  EXPECT_EQ(s.insert("d"), Names{"b"});
+  EXPECT_EQ(s.insert("e"), Names{"c"});
+  EXPECT_EQ(s.insert("f"), Names{"a"});
+}
+
+TEST(LruPolicyTest, EraseRemovesFromOrder) {
+  PolicyStore s(PolicyKind::kLru, {2, 0});
+  s.insert("a");
+  s.insert("b");
+  ASSERT_TRUE(s.store().erase("GET a").has_value());
+  EXPECT_EQ(s.insert("c"), Names{});
+  EXPECT_EQ(s.insert("d"), Names{"b"});
+  EXPECT_EQ(s.store().entry_count(), 2u);
+}
+
+TEST(LruPolicyTest, ReinsertMovesToBack) {
+  PolicyStore s(PolicyKind::kLru, {2, 0});
+  s.insert("a");
+  s.insert("b");
+  EXPECT_EQ(s.insert("a"), Names{});  // replaced, not evicted
+  EXPECT_EQ(s.store().entry_count(), 2u);
+  EXPECT_EQ(s.insert("c"), Names{"b"});
+}
+
+TEST(FifoPolicyTest, AccessDoesNotReorder) {
+  PolicyStore s(PolicyKind::kFifo, {2, 0});
+  s.insert("a");
+  s.insert("b");
+  s.hit("a", 2);
+  EXPECT_EQ(s.insert("c"), Names{"a"});
+}
+
+TEST(LfuPolicyTest, EvictsLeastFrequentlyUsed) {
+  PolicyStore s(PolicyKind::kLfu);
+  s.insert("a");
+  s.insert("b");
+  s.insert("x");
+  s.hit("a", 3);
+  s.hit("x", 9);
+  EXPECT_EQ(s.insert("d"), Names{"b"});
+  s.hit("d", 5);
+  EXPECT_EQ(s.insert("e"), Names{"a"});
+}
+
+TEST(SizePolicyTest, EvictsLargestFirst) {
+  PolicyStore s(PolicyKind::kSize);
+  s.insert("small", 10);
+  s.insert("huge", 100000);
+  s.insert("medium", 1000);
+  EXPECT_EQ(s.insert("tiny", 1), Names{"huge"});
+  EXPECT_EQ(s.insert("tiny2", 1), Names{"medium"});
+}
+
+TEST(GdsPolicyTest, PrefersKeepingExpensiveEntries) {
+  PolicyStore s(PolicyKind::kGreedyDualSize, {2, 0});
+  s.insert("cheap", 100, /*cost=*/0.01);
+  s.insert("pricey", 100, /*cost=*/10.0);
+  EXPECT_EQ(s.insert("next"), Names{"cheap"});
+}
+
+TEST(GdsPolicyTest, SizeMattersAtEqualCost) {
+  PolicyStore s(PolicyKind::kGreedyDualSize, {2, 0});
+  s.insert("big", 100000, 1.0);
+  s.insert("small", 10, 1.0);
+  EXPECT_EQ(s.insert("next", 10, 1.0), Names{"big"});  // lower value density
+}
+
+TEST(GdsPolicyTest, InflationAgesOldEntries) {
+  // An entry worth ten times any newcomer outlives the first evictions, but
+  // each eviction raises L and, never hit again, it is eventually the
+  // cheapest to keep. Without ageing it would stay forever.
+  PolicyStore s(PolicyKind::kGreedyDualSize, {2, 0});
+  s.insert("old-pricey", 100, 1.0);
+  s.insert("filler0", 100, 0.1);
+  EXPECT_EQ(s.insert("filler1", 100, 0.1), Names{"filler0"});
+  for (int i = 2; i < 50; ++i) {
+    const Names evicted = s.insert("filler" + std::to_string(i), 100, 0.1);
+    ASSERT_EQ(evicted.size(), 1u);
+    if (evicted[0] == "old-pricey") return;  // aged out as expected
+  }
+  FAIL() << "old entry never aged out";
+}
+
+// ---- cross-policy invariants ----
+
+class PolicyInvariantTest : public ::testing::TestWithParam<PolicyKind> {};
+
+TEST_P(PolicyInvariantTest, NamesRoundtrip) {
+  const PolicyKind kind = GetParam();
+  auto parsed = policy_from_name(policy_name(kind));
+  ASSERT_TRUE(parsed.is_ok());
+  EXPECT_EQ(parsed.value(), kind);
+}
+
+TEST_P(PolicyInvariantTest, VictimAlwaysAMember) {
+  PolicyStore s(GetParam(), {10, 0});
+  Rng rng(42);
+  std::set<std::string> members;
+  for (int step = 0; step < 2000; ++step) {
+    const int op = static_cast<int>(rng.uniform_int(0, 2));
+    std::string name = "k";
+    name += std::to_string(rng.uniform_int(0, 49));
+    if (op == 0) {
+      const Names evicted =
+          s.insert(name, static_cast<std::uint64_t>(rng.uniform_int(1, 1000)),
+                   rng.uniform(0.01, 10.0));
+      for (const auto& victim : evicted) {
+        EXPECT_TRUE(members.erase(victim)) << "victim not a member: " << victim;
+        EXPECT_NE(victim, name);
+      }
+      members.insert(name);
+    } else if (op == 1 && members.count(name)) {
+      s.hit(name, static_cast<int>(rng.uniform_int(1, 3)));
+    } else if (op == 2) {
+      EXPECT_EQ(s.store().erase("GET " + name).has_value(),
+                members.erase(name) == 1);
+    }
+    ASSERT_EQ(s.store().entry_count(), members.size());
+  }
+}
+
+TEST_P(PolicyInvariantTest, EvictionDrainsCompletely) {
+  // 100 entries fill the byte limit exactly; one entry of the whole limit
+  // then evicts every one of them, each once.
+  PolicyStore s(GetParam(), {0, 100 * 100});
+  for (int i = 0; i < 100; ++i) s.insert(std::to_string(i), 100);
+  const Names evicted = s.insert("whole", 100 * 100);
+  EXPECT_EQ(std::set<std::string>(evicted.begin(), evicted.end()).size(),
+            100u)
+      << "a victim repeated";
+  EXPECT_EQ(evicted.size(), 100u);
+  EXPECT_EQ(s.store().entry_count(), 1u);
+}
+
+TEST_P(PolicyInvariantTest, AccessOfUnknownKeyIsNoop) {
+  PolicyStore s(GetParam(), {1, 0});
+  EXPECT_FALSE(s.store().fetch("GET ghost").has_value());
+  EXPECT_FALSE(s.store().erase("GET ghost").has_value());
+  EXPECT_EQ(s.store().entry_count(), 0u);
+  s.insert("a");
+  EXPECT_EQ(s.insert("b"), Names{"a"});
+}
+
+INSTANTIATE_TEST_SUITE_P(AllPolicies, PolicyInvariantTest,
+                         ::testing::Values(PolicyKind::kLru, PolicyKind::kLfu,
+                                           PolicyKind::kFifo, PolicyKind::kSize,
+                                           PolicyKind::kGreedyDualSize),
+                         [](const auto& param_info) {
+                           return std::string(policy_name(param_info.param));
+                         });
+
+TEST(PolicyNameTest, UnknownNameRejected) {
+  EXPECT_FALSE(policy_from_name("random").is_ok());
+  EXPECT_TRUE(policy_from_name("greedy-dual-size").is_ok());
+  EXPECT_TRUE(policy_from_name(" LRU ").is_ok());
 }
 
 // ---- disk backend ----

@@ -352,7 +352,9 @@ TEST_P(CrashRestartTest, RepeatedKillRestartLoop) {
 
 INSTANTIATE_TEST_SUITE_P(Stores, CrashRestartTest,
                          ::testing::Values("files", "volume"),
-                         [](const auto& info) { return info.param; });
+                         [](const auto& param_info) {
+                           return param_info.param;
+                         });
 
 }  // namespace
 }  // namespace swala

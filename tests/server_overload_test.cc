@@ -74,8 +74,8 @@ class OverloadTest : public ::testing::TestWithParam<IoModel> {
 INSTANTIATE_TEST_SUITE_P(
     IoModels, OverloadTest,
     ::testing::Values(IoModel::kThreads, IoModel::kEpoll),
-    [](const ::testing::TestParamInfo<IoModel>& info) {
-      return info.param == IoModel::kEpoll ? std::string("epoll")
+    [](const ::testing::TestParamInfo<IoModel>& param_info) {
+      return param_info.param == IoModel::kEpoll ? std::string("epoll")
                                            : std::string("threads");
     });
 
