@@ -12,11 +12,18 @@
 // sender actually wrote is reported as JSON (the BENCH_PR4.json trajectory
 // and the CI bench-smoke job consume it):
 //   micro_directory --batch_bench [--inserts=1000]
+// `--memory` reports the heap bytes the directory holds per record, for
+// each locking mode, as JSON: the mallinfo2 delta over `--records` inserts
+// of ADL-style keys spread over four tables:
+//   micro_directory --memory [--records=20000]
 #include <benchmark/benchmark.h>
+#include <malloc.h>
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
+#include <string>
 #include <string_view>
 #include <thread>
 
@@ -49,7 +56,8 @@ core::CacheDirectory* make_directory(core::LockingMode mode) {
 
 void lookup_loop(benchmark::State& state, core::CacheDirectory* dir) {
   // Mixed workload per the paper: mostly lookups (some missing most tables,
-  // hitting the last), occasional touch writes from thread 0.
+  // hitting the last), occasional re-inserts (a peer's update) from
+  // thread 0.
   std::uint64_t i = 0;
   for (auto _ : state) {
     const core::NodeId n = static_cast<core::NodeId>(i % 8);
@@ -57,7 +65,11 @@ void lookup_loop(benchmark::State& state, core::CacheDirectory* dir) {
         "GET /cgi-bin/n" + std::to_string(n) + "?i=" + std::to_string(i % 500);
     benchmark::DoNotOptimize(dir->lookup(key));
     if (state.thread_index() == 0 && i % 16 == 0) {
-      dir->apply_touch(n, key, static_cast<TimeNs>(i));
+      core::EntryMeta meta;
+      meta.key = key;
+      meta.owner = n;
+      meta.version = 1;
+      dir->apply_insert(meta);
     }
     ++i;
   }
@@ -221,6 +233,52 @@ int run_batch_bench(int argc, char** argv) {
   return 0;
 }
 
+// ---- record memory mode (machine-readable JSON) ----
+
+/// Heap bytes in use (allocated chunks, malloc headers included).
+std::size_t heap_in_use() { return mallinfo2().uordblks; }
+
+/// Heap bytes one record costs in a directory built with `mode`.
+double bytes_per_record(core::LockingMode mode, std::uint64_t records) {
+  constexpr std::size_t kNodes = 4;
+  core::CacheDirectory dir(0, kNodes, mode);
+  dir.set_clock(&g_clock);
+  const std::size_t before = heap_in_use();
+  for (std::uint64_t i = 0; i < records; ++i) {
+    core::EntryMeta meta;
+    meta.key = "GET /cgi-bin/adl/query?session=browse&qid=" + std::to_string(i);
+    meta.owner = static_cast<core::NodeId>(i % kNodes);
+    meta.size_bytes = 4096;
+    meta.cost_seconds = 0.05;
+    meta.insert_time = static_cast<TimeNs>(i);
+    meta.version = i + 1;
+    dir.apply_insert(meta);
+  }
+  const std::size_t after = heap_in_use();
+  return static_cast<double>(after - before) / static_cast<double>(records);
+}
+
+int run_memory(int argc, char** argv) {
+  const std::uint64_t records = flag_u64(argc, argv, "--records", 20000);
+  if (records == 0) {
+    std::fprintf(stderr, "--records must be positive\n");
+    return 1;
+  }
+  std::printf("{\"bench\": \"directory_memory\", \"records\": %llu, "
+              "\"bytes_per_record\": {",
+              static_cast<unsigned long long>(records));
+  const core::LockingMode modes[] = {
+      core::LockingMode::kWholeDirectory, core::LockingMode::kPerTable,
+      core::LockingMode::kPerEntry, core::LockingMode::kMultiGranularity};
+  for (std::size_t m = 0; m < std::size(modes); ++m) {
+    std::printf("%s\"%s\": %.1f", m == 0 ? "" : ", ",
+                core::locking_mode_name(modes[m]),
+                bytes_per_record(modes[m], records));
+  }
+  std::printf("}}\n");
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -228,6 +286,7 @@ int main(int argc, char** argv) {
     if (std::string_view(argv[i]) == "--batch_bench") {
       return run_batch_bench(argc, argv);
     }
+    if (std::string_view(argv[i]) == "--memory") return run_memory(argc, argv);
   }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

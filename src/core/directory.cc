@@ -55,37 +55,46 @@ bool CacheDirectory::quarantined(NodeId node) const {
 std::size_t CacheDirectory::clear_table(NodeId node) {
   if (node >= tables_.size()) return 0;
   Table& table = *tables_[node];
-  std::size_t dropped = 0;
-  const auto do_clear = [&] {
-    dropped = table.entries.size();
-    table.entries.clear();
-  };
-  if (mode_ == LockingMode::kWholeDirectory) {
-    std::unique_lock lock(whole_mutex_);
-    ++stats_.lock_acquisitions;
-    do_clear();
-  } else {
-    std::unique_lock lock(table.mutex);
-    ++stats_.lock_acquisitions;
-    do_clear();
-  }
+  std::unique_lock lock(mode_ == LockingMode::kWholeDirectory ? whole_mutex_
+                                                              : table.mutex);
+  ++stats_.lock_acquisitions;
+  const std::size_t dropped = table.entries.size();
+  table.entries.clear();
   stats_.erases += dropped;
   return dropped;
+}
+
+CacheDirectory::Record::Record(const EntryMeta& meta)
+    : size_bytes(meta.size_bytes),
+      cost_seconds(meta.cost_seconds),
+      insert_time(meta.insert_time),
+      expire_time(meta.expire_time),
+      version(meta.version),
+      content_type(meta.content_type),
+      http_status(meta.http_status) {}
+
+EntryMeta CacheDirectory::Record::meta(const std::string& key,
+                                       NodeId owner) const {
+  return EntryMeta{.key = key,
+                   .owner = owner,
+                   .size_bytes = size_bytes,
+                   .cost_seconds = cost_seconds,
+                   .insert_time = insert_time,
+                   .expire_time = expire_time,
+                   .content_type = content_type,
+                   .http_status = http_status,
+                   .version = version};
 }
 
 void CacheDirectory::apply_insert(const EntryMeta& meta) {
   if (meta.owner >= tables_.size()) return;
   Table& table = *tables_[meta.owner];
+  Record record(meta);
 
-  if (mode_ == LockingMode::kWholeDirectory) {
-    std::unique_lock lock(whole_mutex_);
-    ++stats_.lock_acquisitions;
-    table.entries[meta.key] = std::make_unique<EntrySlot>(meta);
-  } else {
-    std::unique_lock lock(table.mutex);
-    ++stats_.lock_acquisitions;
-    table.entries[meta.key] = std::make_unique<EntrySlot>(meta);
-  }
+  std::unique_lock lock(mode_ == LockingMode::kWholeDirectory ? whole_mutex_
+                                                              : table.mutex);
+  ++stats_.lock_acquisitions;
+  table.entries.insert_or_assign(meta.key, std::move(record));
   ++stats_.inserts;
 }
 
@@ -94,102 +103,77 @@ void CacheDirectory::apply_erase(NodeId owner, const std::string& key,
   if (owner >= tables_.size()) return;
   Table& table = *tables_[owner];
 
-  const auto do_erase = [&] {
-    const auto it = table.entries.find(key);
-    if (it == table.entries.end()) return;
-    if (version != 0 && it->second->meta.version > version) return;
-    table.entries.erase(it);
-    ++stats_.erases;
-  };
+  std::unique_lock lock(mode_ == LockingMode::kWholeDirectory ? whole_mutex_
+                                                              : table.mutex);
+  ++stats_.lock_acquisitions;
+  const auto it = table.entries.find(key);
+  if (it == table.entries.end()) return;
+  if (version != 0 && it->second.version > version) return;
+  table.entries.erase(it);
+  ++stats_.erases;
+}
 
-  if (mode_ == LockingMode::kWholeDirectory) {
-    std::unique_lock lock(whole_mutex_);
-    ++stats_.lock_acquisitions;
-    do_erase();
-  } else {
-    std::unique_lock lock(table.mutex);
-    ++stats_.lock_acquisitions;
-    do_erase();
+std::optional<EntryMeta> CacheDirectory::find_in(NodeId node,
+                                                 const std::string& key,
+                                                 LockingMode mode,
+                                                 TimeNs now) const {
+  const Table& table = *tables_[node];
+  const auto visible = [&]() -> std::optional<EntryMeta> {
+    const auto it = table.entries.find(key);
+    if (it == table.entries.end() || it->second.expired(now)) {
+      return std::nullopt;
+    }
+    return it->second.meta(key, node);
+  };
+  switch (mode) {
+    case LockingMode::kWholeDirectory:
+      return visible();  // the caller holds whole_mutex_
+    case LockingMode::kPerTable: {
+      std::shared_lock lock(table.mutex);
+      ++stats_.lock_acquisitions;
+      return visible();
+    }
+    case LockingMode::kPerEntry: {
+      // Structural lock to locate the record, then its entry lock to read
+      // it — two acquisitions per table that holds the key, which is
+      // exactly the overhead the paper rejects this mode for.
+      std::shared_lock lock(table.mutex);
+      ++stats_.lock_acquisitions;
+      const auto it = table.entries.find(key);
+      if (it == table.entries.end()) return std::nullopt;
+      std::lock_guard<std::mutex> entry_lock(
+          table.entry_locks[std::hash<std::string>{}(key) % kEntryLockStripes]);
+      ++stats_.lock_acquisitions;
+      if (it->second.expired(now)) return std::nullopt;
+      return it->second.meta(key, node);
+    }
+    case LockingMode::kMultiGranularity:
+      break;  // resolved per table by lookup(); never passed here
   }
+  return std::nullopt;
 }
 
 std::optional<EntryMeta> CacheDirectory::lookup(const std::string& key) const {
   ++stats_.lookups;
   const TimeNs now = clock_->now();
 
+  // Multi-granularity (§4.2's fourth option): entry locks on the local
+  // table, table locks on the remote tables.
+  const auto mode_for = [&](NodeId node) {
+    if (mode_ != LockingMode::kMultiGranularity) return mode_;
+    return node == self_ ? LockingMode::kPerEntry : LockingMode::kPerTable;
+  };
+  std::shared_lock whole(whole_mutex_, std::defer_lock);
+  if (mode_ == LockingMode::kWholeDirectory) {
+    whole.lock();
+    ++stats_.lock_acquisitions;
+  }
   // Scan order: local table first, then peers, so a locally cached result
   // always wins over a remote copy.
-  const auto scan_table = [&](NodeId node) -> std::optional<EntryMeta> {
-    const Table& table = *tables_[node];
-    // Multi-granularity (§4.2's fourth option): entry locks on the local
-    // table, table locks on the remote tables.
-    LockingMode effective = mode_;
-    if (mode_ == LockingMode::kMultiGranularity) {
-      effective = node == self_ ? LockingMode::kPerEntry
-                                : LockingMode::kPerTable;
-    }
-    switch (effective) {
-      case LockingMode::kWholeDirectory: {
-        // whole_mutex_ already held by caller loop — handled below.
-        const auto it = table.entries.find(key);
-        if (it != table.entries.end() && !it->second->meta.expired(now)) {
-          return it->second->meta;
-        }
-        return std::nullopt;
-      }
-      case LockingMode::kPerTable: {
-        std::shared_lock lock(table.mutex);
-        ++stats_.lock_acquisitions;
-        const auto it = table.entries.find(key);
-        if (it != table.entries.end() && !it->second->meta.expired(now)) {
-          return it->second->meta;
-        }
-        return std::nullopt;
-      }
-      case LockingMode::kPerEntry: {
-        // Structural lock to locate the slot, then the entry's own mutex to
-        // read it — two acquisitions per visited table, which is exactly the
-        // overhead the paper rejects this mode for.
-        const EntrySlot* slot = nullptr;
-        {
-          std::shared_lock lock(table.mutex);
-          ++stats_.lock_acquisitions;
-          const auto it = table.entries.find(key);
-          if (it != table.entries.end()) slot = it->second.get();
-        }
-        if (slot == nullptr) return std::nullopt;
-        std::lock_guard<std::mutex> entry_lock(slot->entry_mutex);
-        ++stats_.lock_acquisitions;
-        if (!slot->meta.expired(now)) return slot->meta;
-        return std::nullopt;
-      }
-      case LockingMode::kMultiGranularity:
-        break;  // resolved to kPerEntry/kPerTable above; unreachable
-    }
-    return std::nullopt;
-  };
-
-  std::optional<EntryMeta> found;
-  if (mode_ == LockingMode::kWholeDirectory) {
-    std::shared_lock lock(whole_mutex_);
-    ++stats_.lock_acquisitions;
-    if (auto hit = scan_table(self_)) {
-      found = hit;
-    } else {
-      for (NodeId n = 0; n < tables_.size() && !found; ++n) {
-        if (n == self_ || quarantined(n)) continue;
-        found = scan_table(n);
-      }
-    }
-  } else {
-    if (auto hit = scan_table(self_)) {
-      found = hit;
-    } else {
-      for (NodeId n = 0; n < tables_.size() && !found; ++n) {
-        if (n == self_ || quarantined(n)) continue;
-        found = scan_table(n);
-      }
-    }
+  std::optional<EntryMeta> found = find_in(self_, key, mode_for(self_), now);
+  for (NodeId n = 0; n < tables_.size() && !found; ++n) {
+    if (n == self_ || quarantined(n)) continue;
+    found = find_in(n, key, mode_for(n), now);
   }
   if (found) ++stats_.lookup_hits;
   return found;
@@ -199,44 +183,12 @@ std::optional<EntryMeta> CacheDirectory::lookup_at(NodeId node,
                                                    const std::string& key) const {
   if (node >= tables_.size()) return std::nullopt;
   const TimeNs now = clock_->now();
-  const Table& table = *tables_[node];
   if (mode_ == LockingMode::kWholeDirectory) {
     std::shared_lock lock(whole_mutex_);
     ++stats_.lock_acquisitions;
-    const auto it = table.entries.find(key);
-    if (it != table.entries.end() && !it->second->meta.expired(now)) {
-      return it->second->meta;
-    }
-    return std::nullopt;
+    return find_in(node, key, LockingMode::kWholeDirectory, now);
   }
-  std::shared_lock lock(table.mutex);
-  ++stats_.lock_acquisitions;
-  const auto it = table.entries.find(key);
-  if (it != table.entries.end() && !it->second->meta.expired(now)) {
-    return it->second->meta;
-  }
-  return std::nullopt;
-}
-
-void CacheDirectory::apply_touch(NodeId owner, const std::string& key,
-                                 TimeNs access_time) {
-  if (owner >= tables_.size()) return;
-  Table& table = *tables_[owner];
-  const auto do_touch = [&] {
-    const auto it = table.entries.find(key);
-    if (it == table.entries.end()) return;
-    it->second->meta.last_access = access_time;
-    ++it->second->meta.access_count;
-  };
-  if (mode_ == LockingMode::kWholeDirectory) {
-    std::unique_lock lock(whole_mutex_);
-    ++stats_.lock_acquisitions;
-    do_touch();
-  } else {
-    std::unique_lock lock(table.mutex);
-    ++stats_.lock_acquisitions;
-    do_touch();
-  }
+  return find_in(node, key, LockingMode::kPerTable, now);
 }
 
 std::vector<std::string> CacheDirectory::expired_keys(NodeId node,
@@ -247,8 +199,8 @@ std::vector<std::string> CacheDirectory::expired_keys(NodeId node,
   std::shared_lock lock(mode_ == LockingMode::kWholeDirectory ? whole_mutex_
                                                               : table.mutex);
   ++stats_.lock_acquisitions;
-  for (const auto& [key, slot] : table.entries) {
-    if (slot->meta.expired(now)) out.push_back(key);
+  for (const auto& [key, record] : table.entries) {
+    if (record.expired(now)) out.push_back(key);
   }
   return out;
 }
@@ -286,7 +238,7 @@ std::vector<std::string> CacheDirectory::keys_at(NodeId node) const {
   std::shared_lock lock(mode_ == LockingMode::kWholeDirectory ? whole_mutex_
                                                               : table.mutex);
   out.reserve(table.entries.size());
-  for (const auto& [key, slot] : table.entries) out.push_back(key);
+  for (const auto& [key, record] : table.entries) out.push_back(key);
   return out;
 }
 
@@ -297,7 +249,9 @@ std::vector<EntryMeta> CacheDirectory::metas_at(NodeId node) const {
   std::shared_lock lock(mode_ == LockingMode::kWholeDirectory ? whole_mutex_
                                                               : table.mutex);
   out.reserve(table.entries.size());
-  for (const auto& [key, slot] : table.entries) out.push_back(slot->meta);
+  for (const auto& [key, record] : table.entries) {
+    out.push_back(record.meta(key, node));
+  }
   return out;
 }
 
@@ -309,8 +263,8 @@ CacheDirectory::key_versions_at(NodeId node) const {
   std::shared_lock lock(mode_ == LockingMode::kWholeDirectory ? whole_mutex_
                                                               : table.mutex);
   out.reserve(table.entries.size());
-  for (const auto& [key, slot] : table.entries) {
-    out.emplace_back(key, slot->meta.version);
+  for (const auto& [key, record] : table.entries) {
+    out.emplace_back(key, record.version);
   }
   return out;
 }

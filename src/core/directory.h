@@ -11,12 +11,19 @@
 // same interface so `bench/micro_directory` can reproduce the argument:
 //   kWholeDirectory    — one shared_mutex over everything
 //   kPerTable          — one shared_mutex per node table (the paper's choice)
-//   kPerEntry          — per-table structural lock + one mutex per entry
+//   kPerEntry          — per-table structural lock + an entry lock per read
 //   kMultiGranularity  — "entry locks on one table while using table lock on
 //                        the other tables" (§4.2): per-entry on the local
 //                        table (the write-hot one), per-table on the rest
+//
+// A record is stored inline in its table's hash map and holds only what a
+// reader or a directory-originated message uses: the key is the map key,
+// the owner is the table, and the owning store's access statistics are not
+// mirrored. The entry lock of kPerEntry is one of a fixed stripe of mutexes
+// per table, chosen by key hash, so a record carries no mutex of its own.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <memory>
 #include <mutex>
@@ -78,14 +85,13 @@ class CacheDirectory {
                    std::uint64_t version = 0);
 
   /// Looks `key` up across all tables, local table first (a local hit avoids
-  /// the remote fetch). Expired entries are invisible.
+  /// the remote fetch). Expired entries are invisible. The returned meta's
+  /// `last_access` and `access_count` are 0: the directory does not keep
+  /// them.
   std::optional<EntryMeta> lookup(const std::string& key) const;
 
   /// Looks up within one node's table only.
   std::optional<EntryMeta> lookup_at(NodeId node, const std::string& key) const;
-
-  /// Updates access statistics after a fetch on the owner node's entry.
-  void apply_touch(NodeId owner, const std::string& key, TimeNs access_time);
 
   /// Keys in `node`'s table that are expired at `now`.
   std::vector<std::string> expired_keys(NodeId node, TimeNs now) const;
@@ -140,17 +146,39 @@ class CacheDirectory {
   DirectoryStats stats() const { return stats_; }
 
  private:
-  struct EntrySlot {
-    EntryMeta meta;
-    mutable std::mutex entry_mutex;  // used only in kPerEntry mode
+  /// One directory record: EntryMeta minus the key (the map key), the owner
+  /// (the table's node) and `last_access`/`access_count`.
+  struct Record {
+    std::uint64_t size_bytes = 0;
+    double cost_seconds = 0.0;
+    TimeNs insert_time = 0;
+    TimeNs expire_time = 0;
+    std::uint64_t version = 0;
+    std::string content_type;
+    int http_status = 200;
 
-    explicit EntrySlot(EntryMeta m) : meta(std::move(m)) {}
+    explicit Record(const EntryMeta& meta);
+    EntryMeta meta(const std::string& key, NodeId owner) const;
+    bool expired(TimeNs now) const {
+      return expire_time != 0 && now >= expire_time;
+    }
   };
+
+  /// Entry locks per table (kPerEntry and the local table of
+  /// kMultiGranularity); a key always maps to the same stripe.
+  static constexpr std::size_t kEntryLockStripes = 16;
 
   struct Table {
     mutable std::shared_mutex mutex;
-    std::unordered_map<std::string, std::unique_ptr<EntrySlot>> entries;
+    mutable std::array<std::mutex, kEntryLockStripes> entry_locks;
+    std::unordered_map<std::string, Record> entries;
   };
+
+  /// `key`'s record in `node`'s table as a meta, if present and unexpired.
+  /// Takes the locks `mode` prescribes for that table; kWholeDirectory
+  /// expects the caller to hold whole_mutex_.
+  std::optional<EntryMeta> find_in(NodeId node, const std::string& key,
+                                   LockingMode mode, TimeNs now) const;
 
   /// Clock used only for expiry visibility checks.
   const Clock* clock_;

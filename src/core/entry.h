@@ -41,6 +41,8 @@ struct EntryMeta {
   double cost_seconds = 0.0;  ///< CGI execution time that the entry saves
   TimeNs insert_time = 0;
   TimeNs expire_time = 0;     ///< 0 = never expires
+  /// The owning store's access statistics. The directory does not keep
+  /// them: directory lookups and directory-originated frames carry 0.
   TimeNs last_access = 0;
   std::uint64_t access_count = 0;
   std::string content_type = "text/html";

@@ -94,7 +94,6 @@ LookupResult CacheManager::lookup(http::Method method, const http::Uri& uri,
   if (dir_hit && dir_hit->owner == self_) {
     auto local = store_->fetch(key.text);
     if (local) {
-      directory_->apply_touch(self_, key.text, local->meta.last_access);
       ++stats_.local_hits;
       out.outcome = LookupOutcome::kHit;
       out.result = std::move(*local);
@@ -397,7 +396,6 @@ Result<CachedResult> CacheManager::serve_peer_fetch(const std::string& key) {
   if (!local) {
     return Status(StatusCode::kNotFound, "not cached here: " + key);
   }
-  directory_->apply_touch(self_, key, local->meta.last_access);
   return std::move(*local);
 }
 

@@ -85,11 +85,11 @@ Result<EntryMeta> CacheStore::insert(const CacheKey& key, std::string_view data,
     bytes_used_ += slot.meta.size_bytes;
     ++stats_.inserts;
     meta = slot.meta;
-    auto& installed = entries_[key.text];
-    installed = std::move(slot);
-    rank_locked(&installed, /*hit=*/false);
+    auto& installed =
+        *entries_.insert_or_assign(key.text, std::move(slot)).first;
+    rank_locked(installed, /*hit=*/false);
     // The data just came through this thread verified; keep it hot.
-    if (hot_blob) hot_admit_locked(key.text, &installed, std::move(hot_blob));
+    if (hot_blob) hot_admit_locked(installed, std::move(hot_blob));
   }
   // `doomed` destructs here, unlinking replaced/evicted blobs (or deferring
   // to a pinned reader) with the mutex released.
@@ -111,17 +111,17 @@ void CacheStore::make_room(std::uint64_t incoming_bytes,
   while (over() && !eviction_.empty()) {
     // GreedyDual-Size's L rises to the rank of each entry it evicts.
     rank_clock_.inflation = eviction_.begin()->first;
-    const std::string victim = eviction_.begin()->second;
-    remove_locked(victim, /*count_eviction=*/true, evicted, doomed);
+    remove_locked(eviction_.begin()->second, /*count_eviction=*/true, evicted,
+                  doomed);
   }
 }
 
-void CacheStore::rank_locked(Slot* slot, bool hit) {
+void CacheStore::rank_locked(Entries::value_type& entry, bool hit) {
+  Slot* slot = &entry.second;
   rank_clock_.tick += 1;
   if (!hit) {
     slot->rank_it = eviction_.emplace_hint(
-        eviction_.end(), rank(policy_, slot->meta, rank_clock_),
-        slot->meta.key);
+        eviction_.end(), rank(policy_, slot->meta, rank_clock_), entry.first);
     return;
   }
   const double current = slot->rank_it->first;
@@ -133,7 +133,7 @@ void CacheStore::rank_locked(Slot* slot, bool hit) {
   slot->rank_it = eviction_.insert(eviction_.end(), std::move(node));
 }
 
-void CacheStore::remove_locked(const std::string& key, bool count_eviction,
+void CacheStore::remove_locked(std::string_view key, bool count_eviction,
                                std::vector<EntryMeta>* out,
                                std::vector<Pin>* doomed) {
   const auto it = entries_.find(key);
@@ -156,7 +156,7 @@ std::optional<CachedResult> CacheStore::fetch(std::string_view key) {
   std::shared_ptr<const std::string> hot_blob;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = entries_.find(std::string(key));
+    const auto it = entries_.find(key);
     if (it == entries_.end() || it->second.meta.expired(clock_->now())) {
       ++stats_.misses;
       return std::nullopt;
@@ -165,7 +165,7 @@ std::optional<CachedResult> CacheStore::fetch(std::string_view key) {
     if (slot.hot) {
       slot.meta.last_access = clock_->now();
       ++slot.meta.access_count;
-      rank_locked(&slot, /*hit=*/true);
+      rank_locked(*it, /*hit=*/true);
       ++stats_.hits;
       ++stats_.hot_hits;
       hot_touch_locked(&slot);
@@ -203,16 +203,14 @@ std::optional<CachedResult> CacheStore::fetch(std::string_view key) {
   auto promoted = hot_candidate(limits_, *pin->backend, pin->id, data.value());
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = entries_.find(std::string(key));
+    const auto it = entries_.find(key);
     if (it != entries_.end() && it->second.pin == pin) {
       Slot& slot = it->second;
       slot.meta.last_access = clock_->now();
       ++slot.meta.access_count;
-      rank_locked(&slot, /*hit=*/true);
+      rank_locked(*it, /*hit=*/true);
       meta = slot.meta;
-      if (promoted && !slot.hot) {
-        hot_admit_locked(it->first, &slot, std::move(promoted));
-      }
+      if (promoted && !slot.hot) hot_admit_locked(*it, std::move(promoted));
     }
     // Entry replaced/removed while we read: the data was valid when read,
     // so still serve it (with the meta snapshotted before the read).
@@ -224,7 +222,7 @@ std::optional<CachedResult> CacheStore::fetch(std::string_view key) {
 
 std::optional<EntryMeta> CacheStore::peek(std::string_view key) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = entries_.find(std::string(key));
+  const auto it = entries_.find(key);
   if (it == entries_.end() || it->second.meta.expired(clock_->now())) {
     return std::nullopt;
   }
@@ -236,7 +234,7 @@ std::optional<EntryMeta> CacheStore::erase(std::string_view key) {
   std::vector<Pin> doomed;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    remove_locked(std::string(key), /*count_eviction=*/false, &out, &doomed);
+    remove_locked(key, /*count_eviction=*/false, &out, &doomed);
   }
   if (out.empty()) return std::nullopt;
   return std::move(out.front());
@@ -436,7 +434,7 @@ Result<std::size_t> CacheStore::load_manifest(const std::string& path) {
   // is hash order), so a restarted store evicts what it would have evicted.
   std::sort(order.begin(), order.end());
   for (const auto& [time, key] : order) {
-    rank_locked(&entries_.at(key), /*hit=*/false);
+    rank_locked(*entries_.find(key), /*hit=*/false);
   }
   return restored;
 }
@@ -466,8 +464,9 @@ StoreStats CacheStore::stats() const {
 
 // ---- hot-blob cache ----
 
-void CacheStore::hot_admit_locked(const std::string& key, Slot* slot,
+void CacheStore::hot_admit_locked(Entries::value_type& entry,
                                   std::shared_ptr<const std::string> blob) {
+  Slot* slot = &entry.second;
   if (limits_.hot_bytes == 0 || !blob || blob->size() > limits_.hot_bytes) {
     return;
   }
@@ -477,8 +476,7 @@ void CacheStore::hot_admit_locked(const std::string& key, Slot* slot,
   }
   while (hot_bytes_used_ + blob->size() > limits_.hot_bytes &&
          !hot_lru_.empty()) {
-    const std::string victim = hot_lru_.back();
-    const auto it = entries_.find(victim);
+    const auto it = entries_.find(hot_lru_.back());
     if (it != entries_.end() && it->second.hot) {
       hot_bytes_used_ -= it->second.hot->size();
       it->second.hot.reset();
@@ -486,7 +484,7 @@ void CacheStore::hot_admit_locked(const std::string& key, Slot* slot,
     hot_lru_.pop_back();
   }
   hot_bytes_used_ += blob->size();
-  hot_lru_.push_front(key);
+  hot_lru_.push_front(entry.first);
   slot->hot_it = hot_lru_.begin();
   slot->hot = std::move(blob);
 }

@@ -18,6 +18,7 @@
 #include <mutex>
 #include <optional>
 #include <set>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -175,8 +176,9 @@ class CacheStore {
   };
   using Pin = std::shared_ptr<PinnedStorage>;
 
-  /// The eviction order: (rank, key), least rank first, ties by key.
-  using EvictionIndex = std::set<std::pair<double, std::string>>;
+  /// The eviction order: (rank, key), least rank first, ties by key. The
+  /// key views the entry's key in entries_ (map nodes never move).
+  using EvictionIndex = std::set<std::pair<double, std::string_view>>;
 
   struct Slot {
     EntryMeta meta;
@@ -186,8 +188,18 @@ class CacheStore {
     /// Verified blob held in memory; null when not hot-resident.
     std::shared_ptr<const std::string> hot;
     /// Position in hot_lru_; valid only while `hot` is set.
-    std::list<std::string>::iterator hot_it;
+    std::list<std::string_view>::iterator hot_it;
   };
+
+  /// Finds entries by std::string_view without building a std::string.
+  struct KeyHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view key) const {
+      return std::hash<std::string_view>{}(key);
+    }
+  };
+  using Entries =
+      std::unordered_map<std::string, Slot, KeyHash, std::equal_to<>>;
 
   /// Evicts until within limits assuming `incoming_bytes` are arriving.
   /// Doomed pins are appended to `doomed` for destruction outside the
@@ -195,18 +207,19 @@ class CacheStore {
   void make_room(std::uint64_t incoming_bytes, std::vector<EntryMeta>* evicted,
                  std::vector<Pin>* doomed);
 
-  /// Ranks `slot` in eviction_ on insert, or re-ranks it on a hit. A
+  /// Ranks `entry` in eviction_ on insert, or re-ranks it on a hit. A
   /// re-rank moves the set node itself: no allocation. Caller holds mutex_.
-  void rank_locked(Slot* slot, bool hit);
+  void rank_locked(Entries::value_type& entry, bool hit);
 
   /// Caller holds mutex_. The removed entry's pin is marked doomed and
   /// moved into `doomed`; the caller destroys it after unlocking so the
   /// unlink (or its deferral to a pinned reader) happens outside the lock.
-  void remove_locked(const std::string& key, bool count_eviction,
+  /// `key` may view the entry's own key: it is read only to find the entry.
+  void remove_locked(std::string_view key, bool count_eviction,
                      std::vector<EntryMeta>* out, std::vector<Pin>* doomed);
 
   // ---- hot-blob cache (callers hold mutex_) ----
-  void hot_admit_locked(const std::string& key, Slot* slot,
+  void hot_admit_locked(Entries::value_type& entry,
                         std::shared_ptr<const std::string> blob);
   void hot_touch_locked(Slot* slot);
   void hot_drop_locked(Slot* slot);
@@ -220,15 +233,15 @@ class CacheStore {
   NodeId owner_;
 
   mutable std::mutex mutex_;
-  std::unordered_map<std::string, Slot> entries_;
+  Entries entries_;
   std::uint64_t bytes_used_ = 0;
   StoreStats stats_;
   /// Every resident entry, in the order the store evicts them.
   EvictionIndex eviction_;
   RankClock rank_clock_;
   /// Hot-blob LRU: front = most recently used. Only keys whose slot holds a
-  /// hot blob appear here.
-  std::list<std::string> hot_lru_;
+  /// hot blob appear here, as views of their key in entries_.
+  std::list<std::string_view> hot_lru_;
   std::uint64_t hot_bytes_used_ = 0;
   /// Readers currently inside an unlocked backend get (gauge for stats).
   std::atomic<std::uint64_t> active_pins_{0};

@@ -162,8 +162,15 @@ Status TcpStream::set_recv_timeout(int timeout_ms) {
 }
 
 Status TcpStream::set_send_timeout(int timeout_ms) {
-  send_timeout_ms_ = timeout_ms < 0 ? 0 : timeout_ms;
-  return set_timeout(fd_.get(), SO_SNDTIMEO, timeout_ms);
+  // The server sets this before every response on a keep-alive connection,
+  // almost always to the value already in force: skip the syscall then.
+  if (timeout_ms < 0) timeout_ms = 0;
+  if (timeout_ms == send_timeout_ms_) return Status::ok();
+  if (auto st = set_timeout(fd_.get(), SO_SNDTIMEO, timeout_ms); !st.is_ok()) {
+    return st;
+  }
+  send_timeout_ms_ = timeout_ms;
+  return Status::ok();
 }
 
 Status TcpStream::set_nonblocking(bool on) {

@@ -51,7 +51,8 @@ class TcpStream {
   /// to setsockopt as a negative timeval (EINVAL). The configured value is
   /// remembered so the read/write retry loops can bound the *total* time of
   /// an operation even when signals (EINTR) restart the syscall with a
-  /// fresh kernel timeout.
+  /// fresh kernel timeout. set_send_timeout makes no syscall when the
+  /// value is already in force.
   Status set_recv_timeout(int timeout_ms);
   Status set_send_timeout(int timeout_ms);
 
@@ -92,9 +93,11 @@ class TcpStream {
  private:
   UniqueFd fd_;
   // Configured SO_*TIMEO values (0 = unlimited), kept so the retry loops can
-  // enforce the budget across EINTR restarts.
+  // enforce the budget across EINTR restarts. The send value starts at -1
+  // (not set here: the fd's own value is unknown), so the first
+  // set_send_timeout always reaches the kernel.
   int recv_timeout_ms_ = 0;
-  int send_timeout_ms_ = 0;
+  int send_timeout_ms_ = -1;
 };
 
 /// A listening TCP socket.

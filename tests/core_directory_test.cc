@@ -1,6 +1,6 @@
 // Tests for the replicated cache directory: per-node tables, lookup
-// precedence, version-guarded erase, expiry visibility, all three locking
-// modes (parameterized), and a concurrency smoke test.
+// precedence, version-guarded erase, expiry visibility, record round trips,
+// all four locking modes (parameterized), and a concurrency smoke test.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -102,15 +102,47 @@ TEST_P(DirectoryModeTest, ExpiredEntriesInvisible) {
   EXPECT_EQ(expired[0], "GET /e");
 }
 
-TEST_P(DirectoryModeTest, TouchUpdatesStats) {
-  auto dir_ptr = make_dir(0, 1);
+TEST_P(DirectoryModeTest, RecordFieldsRoundTrip) {
+  // Every field the record keeps comes back unchanged through each reader;
+  // the owner comes from the table and the key from the map.
+  auto dir_ptr = make_dir(0, 3);
   CacheDirectory& dir = *dir_ptr;
-  dir.apply_insert(meta("GET /t", 0));
-  dir.apply_touch(0, "GET /t", from_seconds(123.0));
-  auto hit = dir.lookup("GET /t");
+  EntryMeta m;
+  m.key = "GET /cgi-bin/report?q=a%20long%20enough%20key&page=12";
+  m.owner = 2;
+  m.size_bytes = 123456789012ull;
+  m.cost_seconds = 0.375;
+  m.insert_time = from_seconds(90.0);
+  m.expire_time = from_seconds(400.0);
+  m.content_type = "application/json; charset=utf-8";
+  m.http_status = 203;
+  m.version = 0xfedcba9876543210ull;
+  dir.apply_insert(m);
+
+  const auto expect_same = [&](const EntryMeta& got) {
+    EXPECT_EQ(got.key, m.key);
+    EXPECT_EQ(got.owner, m.owner);
+    EXPECT_EQ(got.size_bytes, m.size_bytes);
+    EXPECT_EQ(got.cost_seconds, m.cost_seconds);
+    EXPECT_EQ(got.insert_time, m.insert_time);
+    EXPECT_EQ(got.expire_time, m.expire_time);
+    EXPECT_EQ(got.content_type, m.content_type);
+    EXPECT_EQ(got.http_status, m.http_status);
+    EXPECT_EQ(got.version, m.version);
+  };
+  const auto hit = dir.lookup(m.key);
   ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->access_count, 1u);
-  EXPECT_EQ(hit->last_access, from_seconds(123.0));
+  expect_same(*hit);
+  const auto at = dir.lookup_at(2, m.key);
+  ASSERT_TRUE(at.has_value());
+  expect_same(*at);
+  const auto metas = dir.metas_at(2);
+  ASSERT_EQ(metas.size(), 1u);
+  expect_same(metas[0]);
+  const auto versions = dir.key_versions_at(2);
+  ASSERT_EQ(versions.size(), 1u);
+  EXPECT_EQ(versions[0].first, m.key);
+  EXPECT_EQ(versions[0].second, m.version);
 }
 
 TEST_P(DirectoryModeTest, OutOfRangeOwnerIgnored) {

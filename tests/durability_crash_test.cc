@@ -305,7 +305,9 @@ TEST_P(CrashRestartTest, SigtermDrainsInFlightRequestsBeforeExit) {
   int wstatus = 0;
   ASSERT_EQ(::waitpid(pids_[0], &wstatus, 0), pids_[0]);
   EXPECT_TRUE(WIFEXITED(wstatus));
-  if (WIFEXITED(wstatus)) EXPECT_EQ(WEXITSTATUS(wstatus), 0);
+  if (WIFEXITED(wstatus)) {
+    EXPECT_EQ(WEXITSTATUS(wstatus), 0);
+  }
   pids_[0] = -1;
 }
 

@@ -4,6 +4,8 @@
 
 #include <pthread.h>
 #include <signal.h>
+#include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -343,6 +345,30 @@ TEST(TimeoutClampTest, NegativeTimeoutMeansUnlimitedNotGarbage) {
   writer.join();
   ASSERT_TRUE(n.is_ok()) << n.status().to_string();
   EXPECT_EQ(n.value(), 4u);
+}
+
+TEST(TimeoutClampTest, SendTimeoutReachesTheKernelFirstAndOnChange) {
+  // set_send_timeout skips setsockopt when the value is already in force,
+  // but its first call must reach the kernel whatever the fd held before.
+  const auto kernel_ms = [](int fd) {
+    timeval tv{};
+    socklen_t len = sizeof(tv);
+    EXPECT_EQ(::getsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, &len), 0);
+    return tv.tv_sec * 1000 + tv.tv_usec / 1000;
+  };
+  UniqueFd fd(::socket(AF_INET, SOCK_STREAM, 0));
+  ASSERT_TRUE(fd.valid());
+  const timeval preset{2, 0};
+  ASSERT_EQ(::setsockopt(fd.get(), SOL_SOCKET, SO_SNDTIMEO, &preset,
+                         sizeof(preset)),
+            0);
+  TcpStream stream(std::move(fd));
+  ASSERT_TRUE(stream.set_send_timeout(0).is_ok());
+  EXPECT_EQ(kernel_ms(stream.raw_fd()), 0);
+  ASSERT_TRUE(stream.set_send_timeout(1000).is_ok());
+  EXPECT_EQ(kernel_ms(stream.raw_fd()), 1000);
+  ASSERT_TRUE(stream.set_send_timeout(1000).is_ok());
+  EXPECT_EQ(kernel_ms(stream.raw_fd()), 1000);
 }
 
 TEST(TimeoutClampTest, HugeTimeoutDoesNotOverflowTimeval) {
